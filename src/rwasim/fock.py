@@ -80,13 +80,19 @@ def commutation_defect(dim):
 
 def top_level_population(state, dim, levels=2):
     """Population of the top `levels` Fock levels of a joint (2*dim) or bare
-    (dim) state vector; used as the truncation-leakage monitor."""
+    (dim) state vector; used as the truncation-leakage monitor.
+
+    A 2-D stack of states, one per row, gives an array with one value per
+    row instead of a float.
+    """
     state = np.asarray(state)
     pops = np.abs(state) ** 2
-    if state.shape[0] == dim:
+    length = state.shape[-1]
+    if length == dim:
         per_level = pops
-    elif state.shape[0] == 2 * dim:
-        per_level = pops[:dim] + pops[dim:]
+    elif length == 2 * dim:
+        per_level = pops[..., :dim] + pops[..., dim:]
     else:
-        raise ValueError(f"state of length {state.shape[0]} does not match truncation {dim}")
-    return float(per_level[dim - levels :].sum())
+        raise ValueError(f"state of length {length} does not match truncation {dim}")
+    top = per_level[..., dim - levels :].sum(axis=-1)
+    return float(top) if state.ndim == 1 else top

@@ -9,7 +9,6 @@ than silently corrected.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import ModelError, StiffnessError
 
@@ -135,6 +134,10 @@ def integrate(h_of_t, psi0, t0, t1, cfg):
 
 
 def _integrate_adaptive(h, psi, ts, cfg):
+    # imported here: scipy.integrate takes longer to import than most runs
+    # take to solve, and only the ODE pathways need it
+    from scipy.integrate import solve_ivp
+
     def rhs(t, y):
         return -1j * (h(t) @ y)
 

@@ -9,15 +9,19 @@ Closed-form propagators are evaluated by applying scalar functions to the
 diagonal operators a a_dag and a_dag a of the truncation, which keeps them
 equal to the true matrix exponential on the truncated space (including the
 boundary Fock level, where a a_dag differs from N + 1).
+
+Both Hamiltonians are time independent, so the simulators propagate them
+spectrally from one eigendecomposition. The RK45 integrator of
+rwasim.integrator shares no code with that route and serves as its oracle.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ModelError
 from .fock import LEAKAGE_THRESHOLD, ladder_ops, top_level_population
-from .integrator import IntegratorConfig, integrate
+from .integrator import _HERMITIAN_TOL, TimeSeries, sample_grid
 from .linalg import normalize, pauli, tensor_product
 
 __all__ = [
@@ -34,6 +38,7 @@ __all__ = [
     "propagator_jc_lab",
     "simulate_quantum_rabi",
     "simulate_jaynes_cummings",
+    "simulate_jc_analytic",
 ]
 
 RESONANCE_TOL = 1e-12
@@ -143,6 +148,23 @@ def _sin_sqrt_over_sqrt(x, t):
     return np.where(r == 0, t, np.sin(t * r) / safe)
 
 
+def _jc_block_diagonals(t, p, ops):
+    """Diagonals (d_00, d_11, s_up, s_dn) of the rotating-frame propagator
+    e^{-itB}, whose blocks are diag(d_00), -i g diag(s_up) a,
+    -i g diag(s_dn) a_dag and diag(d_11). A column of times gives one row of
+    each diagonal per time."""
+    delta = p.detuning
+    diag_up = np.real(np.diag(ops.a @ ops.a_dag))  # (1, 2, ..., D-1, 0)
+    diag_dn = np.arange(p.dim, dtype=float)
+    phi_up = 0.25 * delta**2 + p.g**2 * diag_up
+    phi_dn = 0.25 * delta**2 + p.g**2 * diag_dn
+    s_up = _sin_sqrt_over_sqrt(phi_up, t)
+    s_dn = _sin_sqrt_over_sqrt(phi_dn, t)
+    d_00 = np.cos(t * np.sqrt(phi_up)) - 0.5j * delta * s_up
+    d_11 = np.cos(t * np.sqrt(phi_dn)) + 0.5j * delta * s_dn
+    return d_00, d_11, s_up, s_dn
+
+
 def propagator_jc_detuned(t, p):
     """Closed-form rotating-frame propagator e^{-itB} for arbitrary detuning.
 
@@ -151,18 +173,10 @@ def propagator_jc_detuned(t, p):
     operator; sin(t sqrt(x))/sqrt(x) is continued by its limit t at x = 0.
     """
     ops = ladder_ops(p.dim)
-    delta = p.detuning
-    diag_up = np.real(np.diag(ops.a @ ops.a_dag))  # (1, 2, ..., D-1, 0)
-    diag_dn = np.arange(p.dim, dtype=float)
-    phi_up = 0.25 * delta**2 + p.g**2 * diag_up
-    phi_dn = 0.25 * delta**2 + p.g**2 * diag_dn
-    s_up = _sin_sqrt_over_sqrt(phi_up, t)
-    s_dn = _sin_sqrt_over_sqrt(phi_dn, t)
-    block_00 = np.diag(np.cos(t * np.sqrt(phi_up)) - 0.5j * delta * s_up)
-    block_11 = np.diag(np.cos(t * np.sqrt(phi_dn)) + 0.5j * delta * s_dn)
+    d_00, d_11, s_up, s_dn = _jc_block_diagonals(t, p, ops)
     block_01 = -1j * p.g * np.diag(s_up) @ ops.a
     block_10 = -1j * p.g * np.diag(s_dn) @ ops.a_dag
-    return np.block([[block_00, block_01], [block_10, block_11]])
+    return np.block([[np.diag(d_00), block_01], [block_10, np.diag(d_11)]])
 
 
 def propagator_jc_resonance(t, p):
@@ -183,30 +197,81 @@ def propagator_jc_lab(t, p):
     return u.conj().T @ propagator_jc_detuned(t, p)
 
 
-def _simulate(h, p, psi0, t_final, dt, cfg):
+def _prepare(p, psi0, t_final, dt):
     psi0 = normalize(psi0)
     if psi0.shape[0] != 2 * p.dim:
         raise ValueError(f"initial state must have dimension {2 * p.dim}")
-    if cfg is None:
-        cfg = IntegratorConfig(dt=dt, rel_tol=1e-12, abs_tol=1e-14)
-    series = integrate(lambda t: h, psi0, 0.0, t_final, cfg)
-    leakage = max(top_level_population(s, p.dim) for s in series.states)
-    if leakage > LEAKAGE_THRESHOLD:
+    if not t_final > 0:
+        raise ValueError("t_final must be positive")
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    return psi0, sample_grid(0.0, t_final, dt)
+
+
+def _monitored_series(ts, states, p):
+    series = TimeSeries(times=ts, states=states, norms=np.linalg.norm(states, axis=1))
+    if top_level_population(states, p.dim).max() > LEAKAGE_THRESHOLD:
         series.flags.add("truncation_suspect")
     return series
 
 
-def simulate_quantum_rabi(p, psi0, t_final, dt, cfg=None):
-    """Numerically integrate the full quantum Rabi dynamics from psi0.
+def _simulate(h, p, psi0, t_final, dt):
+    # H is constant: diagonalize it once, H = V diag(E) V^dag, and evaluate
+    # psi(t) = V e^{-iEt} V^dag psi0 on the whole grid in one product
+    psi0, ts = _prepare(p, psi0, t_final, dt)
+    defect = np.abs(h - h.conj().T).max()
+    if not defect <= _HERMITIAN_TOL:
+        raise ModelError(f"H is not finite and Hermitian within {_HERMITIAN_TOL}")
+    energies, vecs = np.linalg.eigh(h)
+    coeffs = vecs.conj().T @ psi0
+    states = (np.exp(-1j * np.outer(ts, energies)) * coeffs) @ vecs.T
+    return _monitored_series(ts, states, p)
 
-    The population of the top two Fock levels is monitored over the whole
-    run; if it ever exceeds 1e-8 the returned series carries the
-    truncation_suspect flag.
+
+def simulate_quantum_rabi(p, psi0, t_final, dt, cfg=None):
+    """Full quantum Rabi dynamics from psi0, sampled every dt up to t_final.
+
+    The Hamiltonian is constant, so the trajectory is propagated spectrally
+    from one eigendecomposition; no ODE integrator is involved and `cfg` is
+    accepted for compatibility only (it selects nothing). The population of
+    the top two Fock levels is monitored over the whole run; if it ever
+    exceeds 1e-8 the returned series carries the truncation_suspect flag.
     """
-    return _simulate(hamiltonian_quantum_rabi(p), p, psi0, t_final, dt, cfg)
+    return _simulate(hamiltonian_quantum_rabi(p), p, psi0, t_final, dt)
 
 
 def simulate_jaynes_cummings(p, psi0, t_final, dt, cfg=None):
-    """Numerically integrate the Jaynes-Cummings dynamics, with the same
-    truncation-leakage monitoring as simulate_quantum_rabi."""
-    return _simulate(hamiltonian_jc(p), p, psi0, t_final, dt, cfg)
+    """Jaynes-Cummings dynamics, propagated spectrally like
+    simulate_quantum_rabi (`cfg` likewise selects nothing), with the same
+    truncation-leakage monitoring."""
+    return _simulate(hamiltonian_jc(p), p, psi0, t_final, dt)
+
+
+def simulate_jc_analytic(p, psi0, t_final, dt):
+    """Jaynes-Cummings dynamics from the closed form: propagator_jc_lab(t, p)
+    @ psi0 at every sample, with the same truncation-leakage monitoring as
+    simulate_quantum_rabi.
+
+    No propagator matrix is built. Each block of the closed form is a
+    diagonal, or a diagonal times one ladder operator, and so is the frame
+    transform; the diagonals are evaluated for the whole grid at once and
+    applied to psi0 and its shifts a psi0_dn and a_dag psi0_up, which costs
+    O(samples * dim).
+    """
+    psi0, ts = _prepare(p, psi0, t_final, dt)
+    ops = ladder_ops(p.dim)
+    col = ts[:, None]
+    d_00, d_11, s_up, s_dn = _jc_block_diagonals(col, p, ops)
+    up, dn = psi0[: p.dim], psi0[p.dim :]
+    n = np.arange(p.dim, dtype=float)
+    # U(t)^{-1} = diag(e^{-it(omega N + omega/2)}, e^{-it(omega N - omega/2)})
+    frame_up = np.exp(-1j * col * (p.omega * n + 0.5 * p.omega))
+    frame_dn = np.exp(-1j * col * (p.omega * n - 0.5 * p.omega))
+    states = np.concatenate(
+        [
+            frame_up * (d_00 * up - 1j * p.g * s_up * (ops.a @ dn)),
+            frame_dn * (d_11 * dn - 1j * p.g * s_dn * (ops.a_dag @ up)),
+        ],
+        axis=1,
+    )
+    return _monitored_series(ts, states, p)

@@ -9,6 +9,7 @@ configuration; re-parsing that line reproduces the run byte for byte.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,13 +19,13 @@ import yaml
 
 from . import __version__
 from .errors import ScenarioError
-from .fock import LEAKAGE_THRESHOLD, top_level_population
+from .fock import top_level_population
 from .integrator import IntegratorConfig, TimeSeries, fidelity, integrate, sample_grid
 from .linalg import normalize
 from .quantum import (
     JCParams,
-    propagator_jc_lab,
     simulate_jaynes_cummings,
+    simulate_jc_analytic,
     simulate_quantum_rabi,
 )
 from .semiclassical import (
@@ -66,6 +67,14 @@ PARTNER_MODEL = {
     "jc-detuned-analytic": "jaynes-cummings",
 }
 
+# The `# solver:` header of models that do not run the configured
+# integrator; every other model names its integrator method there.
+_SOLVER_LABEL = {
+    "quantum-rabi": "spectral",
+    "jaynes-cummings": "spectral",
+    "jc-detuned-analytic": "closed-form",
+}
+
 _SEMICLASSICAL_OBSERVABLES = ("p0", "p1")
 _QUANTUM_OBSERVABLES = ("p0", "p1", "n_photon", "leakage")
 
@@ -74,9 +83,12 @@ def _as_float(value, field_path):
     if isinstance(value, bool) or value is None:
         raise ScenarioError("expected a number", field_path)
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ScenarioError(f"expected a number, got {value!r}", field_path) from None
+    if not math.isfinite(number):
+        raise ScenarioError(f"expected a finite number, got {value!r}", field_path)
+    return number
 
 
 def _as_int(value, field_path):
@@ -160,13 +172,18 @@ class Scenario:
         unknown = set(integ_raw) - {"method", "rel_tol", "abs_tol", "renormalize"}
         if unknown:
             raise ScenarioError(f"unknown keys {sorted(unknown)}", "integrator")
+        renormalize = integ_raw.get("renormalize", False)
+        if not isinstance(renormalize, bool):
+            raise ScenarioError(
+                f"expected true or false, got {renormalize!r}", "integrator.renormalize"
+            )
         try:
             integ = IntegratorConfig(
                 method=integ_raw.get("method", "rk45-adaptive"),
                 dt=dt,
                 rel_tol=_as_float(integ_raw.get("rel_tol", 1e-12), "integrator.rel_tol"),
                 abs_tol=_as_float(integ_raw.get("abs_tol", 1e-14), "integrator.abs_tol"),
-                renormalize=bool(integ_raw.get("renormalize", False)),
+                renormalize=renormalize,
             )
         except ValueError as exc:
             if isinstance(exc, ScenarioError):
@@ -345,18 +362,11 @@ def run_scenario(scenario):
             p, t_final, scenario.dt, psi0, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol
         )
     elif model == "quantum-rabi":
-        series = simulate_quantum_rabi(p, psi0, t_final, scenario.dt, cfg)
+        series = simulate_quantum_rabi(p, psi0, t_final, scenario.dt)
     elif model == "jaynes-cummings":
-        series = simulate_jaynes_cummings(p, psi0, t_final, scenario.dt, cfg)
+        series = simulate_jaynes_cummings(p, psi0, t_final, scenario.dt)
     elif model == "jc-detuned-analytic":
-        ts = sample_grid(0.0, t_final, scenario.dt)
-        states = np.array([propagator_jc_lab(t, p) @ psi0 for t in ts])
-        series = TimeSeries(
-            times=ts, states=states, norms=np.linalg.norm(states, axis=1), flags=set()
-        )
-        leakage = max(top_level_population(s, p.dim) for s in states)
-        if leakage > LEAKAGE_THRESHOLD:
-            series.flags.add("truncation_suspect")
+        series = simulate_jc_analytic(p, psi0, t_final, scenario.dt)
     else:  # pragma: no cover - from_dict already rejects unknown models
         raise ScenarioError(f"unknown model {model!r}", "model")
 
@@ -389,7 +399,7 @@ def _observable_column(name, series, scenario):
             n = np.arange(dim)
             return pops[:, :dim] @ n + pops[:, dim:] @ n
         if name == "leakage":
-            return np.array([top_level_population(s, dim) for s in states])
+            return top_level_population(states, dim)
     raise ScenarioError(f"unknown observable {name!r}", "outputs")
 
 
@@ -575,7 +585,7 @@ def write_timeseries(result, path, extra_meta=None):
         "# rwasim-timeseries v1",
         f"# scenario: {json.dumps(scenario.to_dict(), sort_keys=True)}",
         f"# config-hash: {scenario.config_hash()}",
-        f"# solver: {scenario.integrator.method}",
+        f"# solver: {_SOLVER_LABEL.get(scenario.model, scenario.integrator.method)}",
         f"# versions: {_versions_line()}",
         f"# flags: {','.join(sorted(result.flags)) if result.flags else '-'}",
     ]

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import RiccatiPoleError
 from .integrator import TimeSeries, sample_grid
@@ -240,6 +239,8 @@ def solve_beyond_rwa(
     The integration halts at a Riccati pole: RiccatiPoleError is raised with
     the pole time and the trajectory accumulated so far attached.
     """
+    from scipy.integrate import solve_ivp  # deferred, as in rwasim.integrator
+
     if not dt > 0:
         raise ValueError("dt must be positive")
     psi0 = normalize(psi0)

@@ -123,3 +123,15 @@ class TestLeakageMonitor:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             top_level_population(np.zeros(5), 4)
+
+    @pytest.mark.parametrize("length", [4, 8])
+    def test_stack_gives_one_value_per_row(self, length):
+        rng = np.random.default_rng(5)
+        states = rng.normal(size=(7, length)) + 1j * rng.normal(size=(7, length))
+        values = top_level_population(states, 4)
+        assert values.shape == (7,)
+        assert np.array_equal(values, [top_level_population(s, 4) for s in states])
+
+    def test_stack_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            top_level_population(np.zeros((3, 5)), 4)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from rwasim import quantum
+from rwasim.errors import ModelError
 from rwasim.fock import ladder_ops, number_state
 from rwasim.integrator import IntegratorConfig, fidelity, integrate, observable_series
 from rwasim.linalg import commutator, expm_series, is_hermitian, is_unitary, pauli, tensor_product
@@ -17,6 +19,7 @@ from rwasim.quantum import (
     propagator_jc_lab,
     propagator_jc_resonance,
     simulate_jaynes_cummings,
+    simulate_jc_analytic,
     simulate_quantum_rabi,
 )
 
@@ -30,6 +33,12 @@ def joint_state(atom_slot, fock_n, dim):
     atom = np.zeros(2, dtype=complex)
     atom[atom_slot] = 1.0
     return np.kron(atom, number_state(fock_n, dim))
+
+
+def random_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return psi / np.linalg.norm(psi)
 
 
 class TestHamiltonians:
@@ -201,6 +210,19 @@ class TestLabFrame:
             closed = propagator_jc_lab(direct.times[k], p) @ psi0
             assert fidelity(direct.states[k] / direct.norms[k], closed / np.linalg.norm(closed)) >= 1 - 1e-8
 
+    @pytest.mark.parametrize("big_omega,g,dim", [(1.2, 0.1, 8), (1.0, 0.1, 6), (1.3, 0.4, 3)])
+    def test_whole_grid_closed_form_matches_propagator(self, big_omega, g, dim):
+        p = JCParams(big_omega=big_omega, omega=1.0, g=g, dim=dim)
+        psi0 = random_state(2 * dim, 29)
+        series = simulate_jc_analytic(p, psi0, 40.0, 0.3)
+        assert series.times[-1] == 40.0
+        for t, state in zip(series.times, series.states):
+            assert np.abs(state - propagator_jc_lab(t, p) @ psi0).max() < 1e-13
+        np.testing.assert_allclose(series.norms, 1.0, atol=1e-13)
+        # from the vacuum only the three-level truncation reaches its top levels
+        vacuum_run = simulate_jc_analytic(p, joint_state(0, 0, dim), 40.0, 0.3)
+        assert ("truncation_suspect" in vacuum_run.flags) == (dim == 3)
+
 
 class TestSimulation:
     def test_uncoupled_populations_and_phases(self):
@@ -254,3 +276,36 @@ class TestSimulation:
         p = JCParams(big_omega=1.0, omega=1.0, g=0.1, dim=4)
         with pytest.raises(ValueError):
             simulate_quantum_rabi(p, np.array([1.0, 0.0], dtype=complex), 1.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "simulate,hamiltonian",
+        [
+            (simulate_quantum_rabi, hamiltonian_quantum_rabi),
+            (simulate_jaynes_cummings, hamiltonian_jc),
+        ],
+    )
+    def test_spectral_matches_rk45_oracle(self, simulate, hamiltonian):
+        p = JCParams(big_omega=1.2, omega=1.0, g=0.15, dim=8)
+        psi0 = random_state(16, 31)
+        series = simulate(p, psi0, 25.0, 0.5)
+        cfg = IntegratorConfig(dt=0.5, rel_tol=1e-12, abs_tol=1e-14)
+        h = hamiltonian(p)
+        oracle = integrate(lambda t: h, psi0, 0.0, 25.0, cfg)
+        np.testing.assert_array_equal(series.times, oracle.times)
+        assert np.abs(series.states - oracle.states).max() < 1e-9
+
+    @pytest.mark.parametrize("defect", [1e-6, np.nan])
+    def test_rejects_non_hermitian_or_non_finite_hamiltonian(self, monkeypatch, defect):
+        p = JCParams(big_omega=1.0, omega=1.0, g=0.1, dim=4)
+        h = hamiltonian_quantum_rabi(p)
+        h[0, 1] += defect
+        monkeypatch.setattr(quantum, "hamiltonian_quantum_rabi", lambda p: h)
+        with pytest.raises(ModelError):
+            simulate_quantum_rabi(p, joint_state(0, 0, 4), 1.0, 0.1)
+
+    @pytest.mark.parametrize("t_final,dt", [(0.0, 0.1), (1.0, 0.0)])
+    def test_rejects_empty_grid(self, t_final, dt):
+        p = JCParams(big_omega=1.0, omega=1.0, g=0.1, dim=4)
+        for simulate in (simulate_quantum_rabi, simulate_jc_analytic):
+            with pytest.raises(ValueError):
+                simulate(p, joint_state(0, 0, 4), t_final, dt)

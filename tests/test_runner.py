@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -85,6 +90,17 @@ class TestScenarioParsing:
         # pyyaml reads bare "1e-10" as a string; tolerate that
         d = base_semiclassical(integrator={"rel_tol": "1e-10"})
         assert Scenario.from_dict(d).integrator.rel_tol == 1e-10
+
+    @pytest.mark.parametrize("value", ["no", "false", 1, 0, None])
+    def test_renormalize_must_be_boolean(self, value):
+        with pytest.raises(ScenarioError, match="integrator.renormalize"):
+            Scenario.from_dict(base_semiclassical(integrator={"renormalize": value}))
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_renormalize_boolean_echoed(self, value):
+        s = Scenario.from_dict(base_semiclassical(integrator={"renormalize": value}))
+        assert s.integrator.renormalize is value
+        assert s.to_dict()["integrator"]["renormalize"] is value
 
     def test_bad_observable_for_family(self):
         with pytest.raises(ScenarioError, match="n_photon"):
@@ -192,6 +208,26 @@ class TestRoundTrip:
         second = tmp_path / "second.csv"
         write_timeseries(run_scenario(recovered), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "spec,solver",
+        [
+            (base_semiclassical(model="semiclassical-full", t_final=2.0), "rk45-adaptive"),
+            (
+                base_semiclassical(
+                    model="semiclassical-full", t_final=2.0, integrator={"method": "rk4-fixed"}
+                ),
+                "rk4-fixed",
+            ),
+            (base_quantum(model="quantum-rabi", t_final=2.0), "spectral"),
+            (base_quantum(t_final=2.0), "spectral"),
+            (base_quantum(model="jc-detuned-analytic", t_final=2.0), "closed-form"),
+        ],
+    )
+    def test_solver_header_names_the_method_used(self, tmp_path, spec, solver):
+        path = tmp_path / "run.csv"
+        write_timeseries(run_scenario(Scenario.from_dict(spec)), path)
+        assert f"# solver: {solver}\n" in path.read_text()
 
     def test_table_columns(self, tmp_path):
         scenario = Scenario.from_dict(base_semiclassical(t_final=5.0))
@@ -379,6 +415,29 @@ class TestCli:
         assert cli.main(["run", str(path)]) == 0
         assert (outdir / "scenario.csv").exists()
 
+    @pytest.mark.parametrize(
+        "spec,field",
+        [
+            (
+                base_quantum(params={"big_omega": 1.0, "omega": 1.0, "g": float("nan"), "dim": 4}),
+                "params.g",
+            ),
+            (
+                base_semiclassical(
+                    model="semiclassical-full",
+                    params={"delta": 1.0, "g": 0.1, "omega": 1.0, "phi": float("inf")},
+                ),
+                "params.phi",
+            ),
+            (base_semiclassical(t_final=float("inf")), "t_final"),
+        ],
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, spec, field):
+        path = self.write_scenario(tmp_path, spec)
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert f"config error: {field}: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "scenario.csv").exists()
+
     def test_empty_scenario_file(self, tmp_path):
         path = tmp_path / "empty.yaml"
         path.write_text("")
@@ -389,3 +448,15 @@ def test_load_scenario_file_yaml(tmp_path):
     path = tmp_path / "s.yaml"
     path.write_text(yaml.safe_dump(base_semiclassical()))
     assert load_scenario_file(path).model == "semiclassical-rwa"
+
+
+def test_cli_import_skips_scipy_integrate():
+    # spectral and closed-form runs must not pay for importing the ODE solvers
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, rwasim.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
