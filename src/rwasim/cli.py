@@ -1,7 +1,8 @@
 """Command-line front end: run / compare / sweep over scenario files.
 
 Exit codes: 0 success, 2 configuration error, 3 solver error (Riccati pole,
-stiffness, non-Hermitian model), 4 truncation warning escalated by --strict.
+stiffness, non-Hermitian model, non-finite state), 4 truncation warning
+escalated by --strict.
 """
 
 import argparse

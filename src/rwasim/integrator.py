@@ -82,7 +82,8 @@ def _checked_h(h_of_t, dim):
         m = np.asarray(h_of_t(t), dtype=complex)
         if m.shape != (dim, dim):
             raise ModelError(f"H({t}) has shape {m.shape}, expected {(dim, dim)}")
-        if np.abs(m - m.conj().T).max() > _HERMITIAN_TOL:
+        # negated <= so that a NaN defect (inf - inf in an overflowed H) fails
+        if not np.abs(m - m.conj().T).max() <= _HERMITIAN_TOL:
             raise ModelError(f"H({t}) is not Hermitian within {_HERMITIAN_TOL}")
         return m
 
@@ -183,7 +184,7 @@ def observable_series(ts, obs):
     checked below 1e-10 and then discarded.
     """
     obs = np.asarray(obs, dtype=complex)
-    if np.abs(obs - obs.conj().T).max() > _HERMITIAN_TOL:
+    if not np.abs(obs - obs.conj().T).max() <= _HERMITIAN_TOL:
         raise ValueError("observable must be Hermitian")
     if obs.shape[0] != ts.states.shape[1]:
         raise ValueError("observable dimension does not match states")

@@ -29,6 +29,9 @@ __all__ = [
 _TAYLOR_TERMS = 18
 _SCALED_NORM_LIMIT = 0.5
 
+# Largest |detuning| the resonance-only closed forms accept as resonance.
+RESONANCE_TOL = 1e-12
+
 _PAULI = {
     1: np.array([[0, 1], [1, 0]], dtype=complex),
     2: np.array([[0, -1j], [1j, 0]], dtype=complex),

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ModelError
 from .fock import LEAKAGE_THRESHOLD, ladder_ops, top_level_population
 from .integrator import _HERMITIAN_TOL, TimeSeries, sample_grid
-from .linalg import normalize, pauli, tensor_product
+from .linalg import RESONANCE_TOL, normalize, pauli, tensor_product
 
 __all__ = [
     "JCParams",
@@ -40,9 +40,6 @@ __all__ = [
     "simulate_jaynes_cummings",
     "simulate_jc_analytic",
 ]
-
-RESONANCE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class JCParams:

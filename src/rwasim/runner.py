@@ -10,7 +10,9 @@ configuration; re-parsing that line reproduces the run byte for byte.
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ import scipy
 import yaml
 
 from . import __version__
-from .errors import ScenarioError
+from .errors import ScenarioError, SimulationError
 from .fock import top_level_population
 from .integrator import IntegratorConfig, TimeSeries, fidelity, integrate, sample_grid
 from .linalg import normalize
@@ -28,12 +30,7 @@ from .quantum import (
     simulate_jc_analytic,
     simulate_quantum_rabi,
 )
-from .semiclassical import (
-    DriveParams,
-    hamiltonian_full,
-    propagate_rwa_exact,
-    solve_beyond_rwa,
-)
+from .semiclassical import DriveParams, hamiltonian_full, propagate_rwa_exact, solve_beyond_rwa
 
 __all__ = [
     "MODELS",
@@ -52,31 +49,77 @@ __all__ = [
     "load_table",
 ]
 
-SEMICLASSICAL_MODELS = ("semiclassical-full", "semiclassical-rwa", "semiclassical-riccati")
-QUANTUM_MODELS = ("quantum-rabi", "jaynes-cummings", "jc-detuned-analytic")
-MODELS = SEMICLASSICAL_MODELS + QUANTUM_MODELS
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """One solver pathway: its params dataclass, its observable columns, the
+    model `sweep` compares it against, the `# solver:` header label (None
+    for the configured integrator method) and `solve(scenario, psi0,
+    t_final)`, which returns the trajectory as a TimeSeries."""
+
+    params: type
+    observables: tuple
+    partner: str
+    solver: str | None
+    solve: Callable
+
+
+# Each solve names its solver function in its body, so the name is looked up
+# in this module's namespace when the run starts: a wrapper or test double
+# bound there after import still sees every call.
+_DRIVE = {"params": DriveParams, "observables": ("p0", "p1")}
+_CAVITY = {"params": JCParams, "observables": ("p0", "p1", "n_photon", "leakage")}
+
+MODELS = {
+    "semiclassical-full": ModelSpec(
+        **_DRIVE,
+        partner="semiclassical-rwa",
+        solver=None,
+        solve=lambda s, psi0, t: integrate(
+            partial(hamiltonian_full, p=s.params), psi0, 0.0, t, s.integrator
+        ),
+    ),
+    "semiclassical-rwa": ModelSpec(
+        **_DRIVE,
+        partner="semiclassical-full",
+        solver="closed-form",
+        solve=lambda s, psi0, t: propagate_rwa_exact(s.params, psi0, sample_grid(0.0, t, s.dt)),
+    ),
+    "semiclassical-riccati": ModelSpec(
+        **_DRIVE,
+        partner="semiclassical-full",
+        solver="rk45-adaptive",
+        solve=lambda s, psi0, t: solve_beyond_rwa(
+            s.params, t, s.dt, psi0, rel_tol=s.integrator.rel_tol, abs_tol=s.integrator.abs_tol
+        ),
+    ),
+    "quantum-rabi": ModelSpec(
+        **_CAVITY,
+        partner="jaynes-cummings",
+        solver="spectral",
+        solve=lambda s, psi0, t: simulate_quantum_rabi(s.params, psi0, t, s.dt),
+    ),
+    "jaynes-cummings": ModelSpec(
+        **_CAVITY,
+        partner="quantum-rabi",
+        solver="spectral",
+        solve=lambda s, psi0, t: simulate_jaynes_cummings(s.params, psi0, t, s.dt),
+    ),
+    "jc-detuned-analytic": ModelSpec(
+        **_CAVITY,
+        partner="jaynes-cummings",
+        solver="closed-form",
+        solve=lambda s, psi0, t: simulate_jc_analytic(s.params, psi0, t, s.dt),
+    ),
+}
 
 # Canonical comparison partner used by `sweep`: each pathway is paired with
 # the one it is meant to be measured against.
-PARTNER_MODEL = {
-    "semiclassical-full": "semiclassical-rwa",
-    "semiclassical-rwa": "semiclassical-full",
-    "semiclassical-riccati": "semiclassical-full",
-    "quantum-rabi": "jaynes-cummings",
-    "jaynes-cummings": "quantum-rabi",
-    "jc-detuned-analytic": "jaynes-cummings",
-}
+PARTNER_MODEL = {name: spec.partner for name, spec in MODELS.items()}
 
-# The `# solver:` header of models that do not run the configured
-# integrator; every other model names its integrator method there.
-_SOLVER_LABEL = {
-    "quantum-rabi": "spectral",
-    "jaynes-cummings": "spectral",
-    "jc-detuned-analytic": "closed-form",
-}
-
-_SEMICLASSICAL_OBSERVABLES = ("p0", "p1")
-_QUANTUM_OBSERVABLES = ("p0", "p1", "n_photon", "leakage")
+# Summary statistics of a comparison, in the order the comparison header and
+# the sweep columns list them.
+SUMMARY = ("max_pop_dev", "mean_pop_dev", "t_of_max_dev", "min_fidelity", "peak_p1_a", "peak_p1_b")
 
 
 def _as_float(value, field_path):
@@ -98,6 +141,11 @@ def _as_int(value, field_path):
     return int(f)
 
 
+def _param(params_raw, f):
+    value = params_raw.get(f.name, None if f.default is MISSING else f.default)
+    return (_as_int if f.type is int else _as_float)(value, f"params.{f.name}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Validated scenario: model, physical parameters, initial state spec,
@@ -115,43 +163,18 @@ class Scenario:
     def from_dict(cls, raw):
         if not isinstance(raw, dict):
             raise ScenarioError("scenario must be a mapping")
-        unknown = set(raw) - {
-            "model",
-            "params",
-            "initial_state",
-            "t_final",
-            "dt",
-            "integrator",
-            "outputs",
-        }
-        if unknown:
-            raise ScenarioError(f"unknown keys {sorted(unknown)}")
+        _check_keys(raw, {f.name for f in fields(cls)}, "")
         model = raw.get("model")
-        if model not in MODELS:
+        if not isinstance(model, str) or model not in MODELS:
             raise ScenarioError(f"must be one of {', '.join(MODELS)}; got {model!r}", "model")
+        spec = MODELS[model]
 
         params_raw = raw.get("params")
         if not isinstance(params_raw, dict):
             raise ScenarioError("expected a mapping", "params")
+        _check_keys(params_raw, {f.name for f in fields(spec.params)}, "params")
         try:
-            if model in SEMICLASSICAL_MODELS:
-                allowed = {"delta", "g", "omega", "phi"}
-                _check_param_keys(params_raw, allowed)
-                params = DriveParams(
-                    delta=_as_float(params_raw.get("delta"), "params.delta"),
-                    g=_as_float(params_raw.get("g"), "params.g"),
-                    omega=_as_float(params_raw.get("omega"), "params.omega"),
-                    phi=_as_float(params_raw.get("phi", 0.0), "params.phi"),
-                )
-            else:
-                allowed = {"big_omega", "omega", "g", "dim"}
-                _check_param_keys(params_raw, allowed)
-                params = JCParams(
-                    big_omega=_as_float(params_raw.get("big_omega"), "params.big_omega"),
-                    omega=_as_float(params_raw.get("omega"), "params.omega"),
-                    g=_as_float(params_raw.get("g"), "params.g"),
-                    dim=_as_int(params_raw.get("dim"), "params.dim"),
-                )
+            params = spec.params(**{f.name: _param(params_raw, f) for f in fields(spec.params)})
         except ValueError as exc:
             if isinstance(exc, ScenarioError):
                 raise
@@ -169,9 +192,7 @@ class Scenario:
         integ_raw = raw.get("integrator", {})
         if not isinstance(integ_raw, dict):
             raise ScenarioError("expected a mapping", "integrator")
-        unknown = set(integ_raw) - {"method", "rel_tol", "abs_tol", "renormalize"}
-        if unknown:
-            raise ScenarioError(f"unknown keys {sorted(unknown)}", "integrator")
+        _check_keys(integ_raw, {"method", "rel_tol", "abs_tol", "renormalize"}, "integrator")
         renormalize = integ_raw.get("renormalize", False)
         if not isinstance(renormalize, bool):
             raise ScenarioError(
@@ -191,7 +212,7 @@ class Scenario:
             raise ScenarioError(str(exc), "integrator") from None
 
         outputs = raw.get("outputs")
-        valid = _SEMICLASSICAL_OBSERVABLES if model in SEMICLASSICAL_MODELS else _QUANTUM_OBSERVABLES
+        valid = spec.observables
         if outputs is None:
             outputs = list(valid)
         if not isinstance(outputs, (list, tuple)) or not all(isinstance(o, str) for o in outputs):
@@ -206,7 +227,7 @@ class Scenario:
         if "initial_state" not in raw:
             raise ScenarioError("required", "initial_state")
         initial_state = raw["initial_state"]
-        _parse_initial_state(initial_state, model, params)  # validate eagerly
+        _parse_initial_state(initial_state, params)  # validate eagerly
 
         return cls(
             model=model,
@@ -221,32 +242,14 @@ class Scenario:
     def to_dict(self):
         """Canonical plain-dict form with all defaults filled in; the JSON
         dump of this is the config echo and the hash input."""
-        if isinstance(self.params, DriveParams):
-            params = {
-                "delta": self.params.delta,
-                "g": self.params.g,
-                "omega": self.params.omega,
-                "phi": self.params.phi,
-            }
-        else:
-            params = {
-                "big_omega": self.params.big_omega,
-                "omega": self.params.omega,
-                "g": self.params.g,
-                "dim": self.params.dim,
-            }
         return {
             "model": self.model,
-            "params": params,
+            "params": asdict(self.params),
             "initial_state": self.initial_state,
             "t_final": self.t_final,
             "dt": self.dt,
-            "integrator": {
-                "method": self.integrator.method,
-                "rel_tol": self.integrator.rel_tol,
-                "abs_tol": self.integrator.abs_tol,
-                "renormalize": self.integrator.renormalize,
-            },
+            # dt is echoed once, at the top level
+            "integrator": {k: v for k, v in asdict(self.integrator).items() if k != "dt"},
             "outputs": list(self.outputs),
         }
 
@@ -262,20 +265,22 @@ class Scenario:
         return float(self.t_final)
 
     def state_dimension(self):
-        return 2 if self.model in SEMICLASSICAL_MODELS else 2 * self.params.dim
+        return 2 * self.params.dim
 
     def initial_vector(self):
-        return _parse_initial_state(self.initial_state, self.model, self.params)
+        return _parse_initial_state(self.initial_state, self.params)
 
 
-def _check_param_keys(params_raw, allowed):
-    unknown = set(params_raw) - allowed
+def _check_keys(raw, allowed, field_path):
+    unknown = set(raw) - allowed
     if unknown:
-        raise ScenarioError(f"unknown keys {sorted(unknown)}", "params")
+        raise ScenarioError(f"unknown keys {sorted(unknown)}", field_path)
 
 
-def _parse_initial_state(spec, model, params):
-    dim = 2 if model in SEMICLASSICAL_MODELS else 2 * params.dim
+def _parse_initial_state(spec, params):
+    # joint index atom * params.dim + fock; the classical drive has a field
+    # dimension of 1, so a two-level state is the atom slot alone
+    dim = 2 * params.dim
     if isinstance(spec, str):
         atom = None
         fock = 0
@@ -289,17 +294,14 @@ def _parse_initial_state(spec, model, params):
                 raise ScenarioError(f"unknown token {token!r}", "initial_state")
         if atom not in (0, 1):
             raise ScenarioError("atom slot must be 0 or 1", "initial_state")
+        if fock and params.dim == 1:
+            raise ScenarioError("fock: is only valid for quantum models", "initial_state")
+        if not 0 <= fock < params.dim:
+            raise ScenarioError(
+                f"fock level {fock} outside truncation {params.dim}", "initial_state"
+            )
         vec = np.zeros(dim, dtype=complex)
-        if model in SEMICLASSICAL_MODELS:
-            if fock:
-                raise ScenarioError("fock: is only valid for quantum models", "initial_state")
-            vec[atom] = 1.0
-        else:
-            if not 0 <= fock < params.dim:
-                raise ScenarioError(
-                    f"fock level {fock} outside truncation {params.dim}", "initial_state"
-                )
-            vec[atom * params.dim + fock] = 1.0
+        vec[atom * params.dim + fock] = 1.0
         return vec
     if isinstance(spec, (list, tuple)):
         if len(spec) != dim:
@@ -347,29 +349,12 @@ def run_scenario(scenario):
     RiccatiPoleError raised by the semiclassical-riccati pathway propagates
     to the caller with the partial trajectory attached.
     """
-    psi0 = scenario.initial_vector()
-    t_final = scenario.resolved_t_final()
-    p = scenario.params
-    cfg = scenario.integrator
-    model = scenario.model
-
-    if model == "semiclassical-full":
-        series = integrate(lambda t: hamiltonian_full(t, p), psi0, 0.0, t_final, cfg)
-    elif model == "semiclassical-rwa":
-        series = propagate_rwa_exact(p, psi0, sample_grid(0.0, t_final, scenario.dt))
-    elif model == "semiclassical-riccati":
-        series = solve_beyond_rwa(
-            p, t_final, scenario.dt, psi0, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol
-        )
-    elif model == "quantum-rabi":
-        series = simulate_quantum_rabi(p, psi0, t_final, scenario.dt)
-    elif model == "jaynes-cummings":
-        series = simulate_jaynes_cummings(p, psi0, t_final, scenario.dt)
-    elif model == "jc-detuned-analytic":
-        series = simulate_jc_analytic(p, psi0, t_final, scenario.dt)
-    else:  # pragma: no cover - from_dict already rejects unknown models
-        raise ScenarioError(f"unknown model {model!r}", "model")
-
+    spec = MODELS[scenario.model]
+    series = spec.solve(scenario, scenario.initial_vector(), scenario.resolved_t_final())
+    finite = np.isfinite(series.states).all(axis=1)
+    if not finite.all():
+        t_bad = float(series.times[np.argmin(finite)])
+        raise SimulationError(f"{scenario.model}: the state is not finite from t = {t_bad!r} on")
     return attach_observables(scenario, series)
 
 
@@ -383,23 +368,17 @@ def attach_observables(scenario, series):
 
 def _observable_column(name, series, scenario):
     states = series.states
-    if scenario.model in SEMICLASSICAL_MODELS:
-        if name == "p0":
-            return np.abs(states[:, 0]) ** 2
-        if name == "p1":
-            return np.abs(states[:, 1]) ** 2
-    else:
-        dim = scenario.params.dim
-        pops = np.abs(states) ** 2
-        if name == "p0":
-            return pops[:, :dim].sum(axis=1)
-        if name == "p1":
-            return pops[:, dim:].sum(axis=1)
-        if name == "n_photon":
-            n = np.arange(dim)
-            return pops[:, :dim] @ n + pops[:, dim:] @ n
-        if name == "leakage":
-            return top_level_population(states, dim)
+    dim = scenario.params.dim
+    pops = np.abs(states) ** 2
+    if name == "p0":
+        return pops[:, :dim].sum(axis=1)
+    if name == "p1":
+        return pops[:, dim:].sum(axis=1)
+    if name == "n_photon":
+        n = np.arange(dim)
+        return pops[:, :dim] @ n + pops[:, dim:] @ n
+    if name == "leakage":
+        return top_level_population(states, dim)
     raise ScenarioError(f"unknown observable {name!r}", "outputs")
 
 
@@ -533,12 +512,7 @@ def sweep_scenario(base, param, values):
             {
                 "param": param,
                 "value": float(value),
-                "max_pop_dev": report.max_pop_dev,
-                "mean_pop_dev": report.mean_pop_dev,
-                "t_of_max_dev": report.t_of_max_dev,
-                "min_fidelity": report.min_fidelity,
-                "peak_p1_a": report.peak_p1_a,
-                "peak_p1_b": report.peak_p1_b,
+                **{name: getattr(report, name) for name in SUMMARY},
                 "flags": ",".join(sorted(report.flags)),
             }
         )
@@ -556,7 +530,8 @@ def load_scenario_file(path):
     except OSError as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from None
     try:
-        raw = yaml.safe_load(text)
+        # libyaml's safe loader where PyYAML was built with it: same mappings, ~5x faster
+        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ScenarioError(f"cannot parse {path}: {exc}") from None
     if raw is None:
@@ -568,37 +543,34 @@ def _versions_line():
     return f"rwasim={__version__} numpy={np.__version__} scipy={scipy.__version__}"
 
 
-def _fmt(x):
-    return repr(float(x))
+def _rows(columns):
+    # the repr of a Python float is the shortest string that reads back to it
+    return [",".join(map(repr, row)) for row in np.column_stack(columns).tolist()]
 
 
 def write_timeseries(result, path, extra_meta=None):
     """Write one run as CSV with a '#' header carrying the full config echo."""
     scenario = result.scenario
-    dim = result.series.states.shape[1]
-    columns = ["t"]
-    for k in range(dim):
-        columns += [f"re_{k}", f"im_{k}"]
+    series = result.series
+    dim = series.states.shape[1]
+    columns = ["t", *(f"{part}_{k}" for k in range(dim) for part in ("re", "im"))]
     columns += list(scenario.outputs) + ["norm"]
 
     lines = [
         "# rwasim-timeseries v1",
         f"# scenario: {json.dumps(scenario.to_dict(), sort_keys=True)}",
         f"# config-hash: {scenario.config_hash()}",
-        f"# solver: {_SOLVER_LABEL.get(scenario.model, scenario.integrator.method)}",
+        f"# solver: {MODELS[scenario.model].solver or scenario.integrator.method}",
         f"# versions: {_versions_line()}",
         f"# flags: {','.join(sorted(result.flags)) if result.flags else '-'}",
     ]
     for key, value in (extra_meta or {}).items():
         lines.append(f"# {key}: {value}")
     lines.append(f"# columns: {','.join(columns)}")
-    for i, t in enumerate(result.series.times):
-        row = [_fmt(t)]
-        for k in range(dim):
-            row += [_fmt(result.series.states[i, k].real), _fmt(result.series.states[i, k].imag)]
-        row += [_fmt(result.observables[name][i]) for name in scenario.outputs]
-        row.append(_fmt(result.series.norms[i]))
-        lines.append(",".join(row))
+    # a C-ordered complex row viewed as floats is re_0, im_0, re_1, im_1, ...
+    amplitudes = np.ascontiguousarray(series.states, dtype=complex).view(float)
+    observables = [result.observables[name] for name in scenario.outputs]
+    lines += _rows([series.times, amplitudes, *observables, series.norms])
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -611,38 +583,15 @@ def write_comparison(report, path):
         f"# config-hash-b: {report.hash_b}",
         f"# versions: {_versions_line()}",
         f"# flags: {','.join(sorted(report.flags)) if report.flags else '-'}",
-        f"# max_pop_dev: {_fmt(report.max_pop_dev)}",
-        f"# mean_pop_dev: {_fmt(report.mean_pop_dev)}",
-        f"# t_of_max_dev: {_fmt(report.t_of_max_dev)}",
-        f"# min_fidelity: {_fmt(report.min_fidelity)}",
-        f"# peak_p1_a: {_fmt(report.peak_p1_a)}",
-        f"# peak_p1_b: {_fmt(report.peak_p1_b)}",
+        *(f"# {name}: {float(getattr(report, name))!r}" for name in SUMMARY),
         "# columns: t,fidelity,pop_dev,dp0",
     ]
-    for k in range(report.times.size):
-        lines.append(
-            ",".join(
-                [
-                    _fmt(report.times[k]),
-                    _fmt(report.fidelities[k]),
-                    _fmt(report.pop_devs[k]),
-                    _fmt(report.dp0[k]),
-                ]
-            )
-        )
+    lines += _rows([report.times, report.fidelities, report.pop_devs, report.dp0])
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_sweep(rows, path):
-    cols = [
-        "value",
-        "max_pop_dev",
-        "mean_pop_dev",
-        "t_of_max_dev",
-        "min_fidelity",
-        "peak_p1_a",
-        "peak_p1_b",
-    ]
+    cols = ("value", *SUMMARY)
     lines = [
         "# rwasim-sweep v1",
         f"# parameter: {rows[0]['param'] if rows else '-'}",
@@ -650,8 +599,7 @@ def write_sweep(rows, path):
         f"# flags: {';'.join(r['flags'] or '-' for r in rows)}",
         f"# columns: {','.join(cols)}",
     ]
-    for r in rows:
-        lines.append(",".join(_fmt(r[c]) for c in cols))
+    lines += _rows([[r[c] for r in rows] for c in cols])
     Path(path).write_text("\n".join(lines) + "\n")
 
 

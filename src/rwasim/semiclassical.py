@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import RiccatiPoleError
 from .integrator import TimeSeries, sample_grid
-from .linalg import normalize
+from .linalg import RESONANCE_TOL, normalize
 
 __all__ = [
     "DriveParams",
@@ -38,9 +38,6 @@ __all__ = [
     "solve_beyond_rwa",
 ]
 
-RESONANCE_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class DriveParams:
     """Two-level drive parameters: splitting delta, coupling g, laser angular
@@ -50,6 +47,10 @@ class DriveParams:
     g: float
     omega: float
     phi: float = 0.0
+
+    # Field dimension: the drive is a classical field, so a state is the atom
+    # slot alone (C^2 (x) C^1). A class attribute, not a dataclass field.
+    dim = 1
 
     def __post_init__(self):
         if not self.delta > 0:
@@ -187,6 +188,19 @@ class DisentangleState:
 POLE_GUARD_F = 1e8
 POLE_GUARD_G = 1e-12
 
+_GUARD_REASONS = ("|1 + iG| below pole tolerance", "|F| beyond blow-up guard")
+
+
+def _riccati_field(t, f, g_fun, p):
+    d = 2.0 * p.g * math.cos(p.omega * t + p.phi)
+    return d * (1.0 + f * f) + 1j * p.delta * f, -p.delta + 2j * d * f, d * np.exp(-1j * g_fun)
+
+
+def _guard_margins(f, g_fun, f_max, pole_tol):
+    # distance of |1 + iG| above pole_tol and of |F| below f_max, in the
+    # order of _GUARD_REASONS; a guard fires once its margin is negative
+    return abs(1.0 + 1j * g_fun) - pole_tol, f_max - abs(f)
+
 
 def riccati_rhs(s, t, p, f_max=POLE_GUARD_F, pole_tol=POLE_GUARD_G):
     """Time derivative of the disentangling functions.
@@ -201,14 +215,10 @@ def riccati_rhs(s, t, p, f_max=POLE_GUARD_F, pole_tol=POLE_GUARD_G):
 
     Raises RiccatiPoleError when |1 + iG| < pole_tol or |F| > f_max.
     """
-    if abs(1.0 + 1j * s.g_fun) < pole_tol:
-        raise RiccatiPoleError(t, reason="|1 + iG| below pole tolerance")
-    if abs(s.f) > f_max:
-        raise RiccatiPoleError(t, reason="|F| beyond blow-up guard")
-    d = 2.0 * p.g * math.cos(p.omega * t + p.phi)
-    df = d * (1.0 + s.f * s.f) + 1j * p.delta * s.f
-    dg = -p.delta + 2j * d * s.f
-    dh = d * np.exp(-1j * s.g_fun)
+    for margin, reason in zip(_guard_margins(s.f, s.g_fun, f_max, pole_tol), _GUARD_REASONS):
+        if margin < 0:
+            raise RiccatiPoleError(t, reason=reason)
+    df, dg, dh = _riccati_field(t, s.f, s.g_fun, p)
     return DisentangleState(f=df, g_fun=dg, h=dh)
 
 
@@ -245,27 +255,14 @@ def solve_beyond_rwa(
         raise ValueError("dt must be positive")
     psi0 = normalize(psi0)
 
-    # same vector field as riccati_rhs; the guards run as terminal events so
-    # the step controller can stop at the pole instead of unwinding a raise
     def rhs(t, y):
-        d = 2.0 * p.g * math.cos(p.omega * t + p.phi)
-        f, g_fun = y[0], y[1]
-        return np.array(
-            [
-                d * (1.0 + f * f) + 1j * p.delta * f,
-                -p.delta + 2j * d * f,
-                d * np.exp(-1j * g_fun),
-            ]
-        )
+        return np.array(_riccati_field(t, y[0], y[1], p))
 
-    def pole_event(t, y):
-        return abs(1.0 + 1j * y[1]) - pole_tol
-
-    def blowup_event(t, y):
-        return f_max - abs(y[0])
-
-    pole_event.terminal = True
-    blowup_event.terminal = True
+    # the guards of riccati_rhs, run as terminal events so the step
+    # controller can stop at the pole instead of unwinding a raise
+    events = [lambda t, y, k=k: _guard_margins(y[0], y[1], f_max, pole_tol)[k] for k in (0, 1)]
+    for event in events:
+        event.terminal = True
 
     ts = sample_grid(0.0, t_final, dt)
     sol = solve_ivp(
@@ -276,10 +273,10 @@ def solve_beyond_rwa(
         rtol=rel_tol,
         atol=abs_tol,
         t_eval=ts,
-        events=[pole_event, blowup_event],
+        events=events,
     )
     if sol.status == -1:
-        raise RiccatiPoleError(sol.t[-1] if sol.t.size else 0.0, reason=sol.message)
+        raise RiccatiPoleError(sol.t[-1] if len(sol.t) else 0.0, reason=sol.message)
 
     states = np.empty((sol.t.size, 2), dtype=complex)
     for i in range(sol.t.size):
@@ -295,8 +292,5 @@ def solve_beyond_rwa(
     if sol.status == 1:  # a terminal event fired
         which = 0 if sol.t_events[0].size else 1
         t_pole = float(sol.t_events[which][0])
-        reason = (
-            "|1 + iG| below pole tolerance" if which == 0 else "|F| beyond blow-up guard"
-        )
-        raise RiccatiPoleError(t_pole, partial=series, reason=reason)
+        raise RiccatiPoleError(t_pole, partial=series, reason=_GUARD_REASONS[which])
     return series

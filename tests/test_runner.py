@@ -198,8 +198,20 @@ class TestRunPathways:
 
 
 class TestRoundTrip:
-    def test_metadata_reproduces_run_bitwise(self, tmp_path):
-        scenario = Scenario.from_dict(base_semiclassical(t_final=12.0))
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            base_semiclassical(model="semiclassical-full", t_final=12.0),
+            base_semiclassical(t_final=12.0),
+            base_semiclassical(model="semiclassical-riccati", t_final=12.0),
+            base_quantum(model="quantum-rabi", t_final=12.0),
+            base_quantum(t_final=12.0),
+            base_quantum(model="jc-detuned-analytic", t_final=12.0),
+        ],
+        ids=lambda spec: spec["model"],
+    )
+    def test_metadata_reproduces_run_bitwise(self, tmp_path, spec):
+        scenario = Scenario.from_dict(spec)
         first = tmp_path / "first.csv"
         write_timeseries(run_scenario(scenario), first)
 
@@ -222,6 +234,14 @@ class TestRoundTrip:
             (base_quantum(model="quantum-rabi", t_final=2.0), "spectral"),
             (base_quantum(t_final=2.0), "spectral"),
             (base_quantum(model="jc-detuned-analytic", t_final=2.0), "closed-form"),
+            (base_semiclassical(t_final=2.0), "closed-form"),
+            (base_semiclassical(model="semiclassical-riccati", t_final=2.0), "rk45-adaptive"),
+            (
+                base_semiclassical(
+                    model="semiclassical-riccati", t_final=2.0, integrator={"method": "rk4-fixed"}
+                ),
+                "rk45-adaptive",
+            ),
         ],
     )
     def test_solver_header_names_the_method_used(self, tmp_path, spec, solver):
@@ -438,10 +458,40 @@ class TestCli:
         assert f"config error: {field}: expected a finite number" in capsys.readouterr().err
         assert not (tmp_path / "scenario.csv").exists()
 
+    @pytest.mark.parametrize(
+        "model,g,method",
+        [
+            # H overflows to inf; the NaN Hermiticity defect used to pass the check
+            ("semiclassical-full", 1.0e308, "rk45-adaptive"),
+            ("semiclassical-full", 1.0e308, "rk4-fixed"),
+            # H is finite but the state overflows
+            ("semiclassical-full", 1.0e200, "rk4-fixed"),
+            ("semiclassical-riccati", 1.0e308, "rk45-adaptive"),
+        ],
+    )
+    def test_overflowing_run_is_solver_error(self, tmp_path, capsys, model, g, method):
+        spec = base_semiclassical(
+            model=model,
+            params={"delta": 1.0, "g": g, "omega": 1.0},
+            t_final=10.0,
+            integrator={"method": method},
+        )
+        path = self.write_scenario(tmp_path, spec)
+        with np.errstate(all="ignore"):
+            assert cli.main(["run", str(path), "--out", str(tmp_path)]) == cli.EXIT_SOLVER
+        assert "solver error:" in capsys.readouterr().err
+        assert not (tmp_path / "scenario.csv").exists()
+
     def test_empty_scenario_file(self, tmp_path):
         path = tmp_path / "empty.yaml"
         path.write_text("")
         assert cli.main(["run", str(path)]) == cli.EXIT_CONFIG
+
+    def test_malformed_scenario_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("model: [semiclassical-rwa\nparams: {g: 0.1}\n")
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "cannot parse" in capsys.readouterr().err
 
 
 def test_load_scenario_file_yaml(tmp_path):
