@@ -18,6 +18,7 @@ from .integrator import (  # noqa: F401
     fidelity,
     integrate,
     observable_series,
+    propagate_periodic,
 )
 from .linalg import (  # noqa: F401
     bch_conjugate,

@@ -16,6 +16,7 @@ __all__ = [
     "IntegratorConfig",
     "TimeSeries",
     "integrate",
+    "propagate_periodic",
     "observable_series",
     "fidelity",
     "sample_grid",
@@ -29,10 +30,10 @@ class IntegratorConfig:
     """Settings for `integrate`.
 
     method : "rk4-fixed" or "rk45-adaptive"
-    dt     : fixed step for rk4-fixed; output sample spacing for both methods
+    dt     : output sample spacing for both methods; the largest rk4-fixed step
     rel_tol, abs_tol : adaptive error control (rk45-adaptive only)
-    renormalize : if True, rescale the state to unit norm at every step and
-        flag the run; off by default so norm drift stays observable
+    renormalize : if True, divide every sample by its norm and flag the run;
+        off by default so norm drift stays observable
     """
 
     method: str = "rk45-adaptive"
@@ -106,75 +107,107 @@ def integrate(h_of_t, psi0, t0, t1, cfg):
     renormalize=False the final norm staying within 1e-8 of 1 is the
     contract that the step size was adequate.
     """
+    psi = _initial_state(psi0)
+    if not t1 > t0:
+        raise ValueError("t1 must exceed t0")
+    ts = sample_grid(t0, t1, cfg.dt)
+    # one fixed step per sample interval for rk4-fixed; the grid spacing is
+    # cfg.dt except possibly a short final interval
+    states = _propagate(_checked_h(h_of_t, psi.size), psi, ts, cfg)
+    return _series(ts, states, cfg)
+
+
+def propagate_periodic(h_of_t, period, psi0, times, cfg):
+    """Propagate psi0, the state at t = 0, to each of `times` under an H(t)
+    of the given period, by Floquet's theorem U(nT + tau) = U(tau) U(T)^n.
+
+    The fundamental matrix U is integrated from the identity over one period
+    only, on the phases tau of the sample times (plus T itself when a time
+    lies beyond the first period), with the method of cfg; under rk4-fixed
+    every phase interval is at most cfg.dt when `times` is a grid of spacing
+    cfg.dt. The state at t = nT + tau is then U(tau) M^n psi0 with
+    M = U(T), the powers taken by repeated matrix-vector products, so that a
+    non-finite M propagates to the states instead of failing in an
+    eigendecomposition. Same Hermiticity check and TimeSeries contract as
+    `integrate`.
+    """
+    psi = _initial_state(psi0)
+    if not period > 0:
+        raise ValueError("period must be positive")
+    times = np.asarray(times, dtype=float)
+    if not times.size or not times[0] >= 0:
+        raise ValueError("times must be non-negative")
+    n, tau = np.divmod(times, period)
+    n = n.astype(int)
+    # the phase grid starts at the identity, t = 0
+    phases, index = np.unique(np.append(0.0, tau), return_inverse=True)
+    index = index[1:]
+    if n.max() > 0:
+        phases = np.append(phases, period)
+    eye = np.eye(psi.size, dtype=complex)
+    fundamental = _propagate(_checked_h(h_of_t, psi.size), eye, phases, cfg)
+
+    powers = np.empty((n.max() + 1, psi.size), dtype=complex)
+    powers[0] = psi
+    for k in range(1, powers.shape[0]):
+        powers[k] = fundamental[-1] @ powers[k - 1]
+    states = np.einsum("kij,kj->ki", fundamental[index], powers[n])
+    return _series(times.copy(), states, cfg)
+
+
+def _initial_state(psi0):
     psi = np.asarray(psi0, dtype=complex).copy()
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
-    if not t1 > t0:
-        raise ValueError("t1 must exceed t0")
-    h = _checked_h(h_of_t, psi.shape[0])
+    return psi
+
+
+def _series(ts, states, cfg):
+    # the equation is linear, so dividing each sample by its norm gives the
+    # states that renormalizing and carrying the state on would give
+    norms = np.linalg.norm(states, axis=1)
     flags = set()
     if cfg.renormalize:
         flags.add("renormalized")
-
-    ts = sample_grid(t0, t1, cfg.dt)
-    if cfg.method == "rk4-fixed":
-        states = np.empty((ts.size, psi.size), dtype=complex)
-        states[0] = psi
-        for i in range(1, ts.size):
-            # one fixed step per sample interval; the grid spacing is cfg.dt
-            # except possibly a short final interval
-            psi = _rk4_step(h, ts[i - 1], psi, ts[i] - ts[i - 1])
-            if cfg.renormalize:
-                psi = psi / np.linalg.norm(psi)
-            states[i] = psi
-    else:
-        states = _integrate_adaptive(h, psi, ts, cfg)
-
-    norms = np.linalg.norm(states, axis=1)
+        states = states / norms[:, None]
+        norms = np.linalg.norm(states, axis=1)
     return TimeSeries(times=ts, states=states, norms=norms, flags=flags)
 
 
-def _integrate_adaptive(h, psi, ts, cfg):
+def _propagate(h, y0, grid, cfg):
+    """Solve i dy/dt = H(t) y from y(grid[0]) = y0 and return y at every grid
+    point; y0 is a (dim,) state or a (dim, dim) matrix."""
+    # a one-point grid takes no step, and solve_ivp rejects an empty interval
+    if cfg.method == "rk4-fixed" or grid.size == 1:
+        out = np.empty((grid.size, *y0.shape), dtype=complex)
+        out[0] = y = y0
+        for i in range(1, grid.size):
+            y = _rk4_step(h, grid[i - 1], y, grid[i] - grid[i - 1])
+            out[i] = y
+        return out
+
     # imported here: scipy.integrate takes longer to import than most runs
     # take to solve, and only the ODE pathways need it
     from scipy.integrate import solve_ivp
 
+    shape = y0.shape
+
     def rhs(t, y):
-        return -1j * (h(t) @ y)
+        return (-1j * (h(t) @ y.reshape(shape))).ravel()
 
-    if not cfg.renormalize:
-        sol = solve_ivp(
-            rhs,
-            (ts[0], ts[-1]),
-            psi,
-            method="RK45",
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
-            t_eval=ts,
-            dense_output=False,
-        )
-        if sol.status != 0:
-            raise StiffnessError(f"adaptive integration failed: {sol.message}")
-        return sol.y.T.copy()
-
-    # renormalization has to feed back into the propagation, so integrate
-    # sample-to-sample and rescale the carried state
-    states = np.empty((ts.size, psi.size), dtype=complex)
-    states[0] = psi
-    for i in range(1, ts.size):
-        sol = solve_ivp(
-            rhs,
-            (ts[i - 1], ts[i]),
-            psi,
-            method="RK45",
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
-        )
-        if sol.status != 0:
-            raise StiffnessError(f"adaptive integration failed: {sol.message}")
-        psi = sol.y[:, -1] / np.linalg.norm(sol.y[:, -1])
-        states[i] = psi
-    return states
+    sol = solve_ivp(
+        rhs,
+        (grid[0], grid[-1]),
+        y0.ravel(),
+        method="RK45",
+        rtol=cfg.rel_tol,
+        atol=cfg.abs_tol,
+        t_eval=grid,
+        dense_output=False,
+    )
+    if sol.status != 0:
+        raise StiffnessError(f"adaptive integration failed: {sol.message}")
+    return sol.y.T.reshape(grid.size, *shape)
 
 
 def observable_series(ts, obs):

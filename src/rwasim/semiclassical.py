@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RiccatiPoleError
+from .errors import RiccatiPoleError, StiffnessError
 from .integrator import TimeSeries, sample_grid
 from .linalg import RESONANCE_TOL, normalize
 
@@ -163,10 +163,15 @@ def propagate_rwa_exact(p, psi0, times):
     psi0 = normalize(psi0)
     times = np.asarray(times, dtype=float)
     phi0 = to_rotating_frame(psi0, times[0], p)
-    states = np.empty((times.size, 2), dtype=complex)
-    for i, t in enumerate(times):
-        rot = propagator_rwa_rotating(t - times[0], p) @ phi0
-        states[i] = from_rotating_frame(rot, t, p)
+    # propagator_rwa_rotating(t - t0) @ phi0 at every sample at once; an
+    # overflowed phase gives NaN states here rather than raising in math.sin
+    elapsed = times - times[0]
+    rabi = generalized_rabi_frequency(p)
+    x = rabi * elapsed
+    sinc = elapsed if rabi == 0 else np.sin(x) / rabi
+    rot = np.cos(x)[:, None] * phi0 - 1j * sinc[:, None] * (rotating_frame_generator(p) @ phi0)
+    lo, hi = _frame_phases(times, p)
+    states = np.column_stack([hi * rot[:, 0], lo * rot[:, 1]])
     return TimeSeries(
         times=times.copy(),
         states=states,
@@ -247,7 +252,8 @@ def solve_beyond_rwa(
     Hamiltonian and reconstruct psi(t) on a grid of spacing dt.
 
     The integration halts at a Riccati pole: RiccatiPoleError is raised with
-    the pole time and the trajectory accumulated so far attached.
+    the pole time and the trajectory accumulated so far attached. A failure
+    of the step control before either guard fired raises StiffnessError.
     """
     from scipy.integrate import solve_ivp  # deferred, as in rwasim.integrator
 
@@ -276,7 +282,8 @@ def solve_beyond_rwa(
         events=events,
     )
     if sol.status == -1:
-        raise RiccatiPoleError(sol.t[-1] if len(sol.t) else 0.0, reason=sol.message)
+        # both guards are terminal events, so a failed run is no pole
+        raise StiffnessError(f"adaptive integration failed: {sol.message}")
 
     states = np.empty((sol.t.size, 2), dtype=complex)
     for i in range(sol.t.size):

@@ -8,6 +8,7 @@ from rwasim.integrator import (
     fidelity,
     integrate,
     observable_series,
+    propagate_periodic,
     sample_grid,
 )
 from rwasim.linalg import expm_su2, pauli
@@ -157,6 +158,120 @@ def test_full_vs_rwa_population_difference_small_coupling():
     dev = np.abs(np.abs(full.states) ** 2 - np.abs(rwa.states) ** 2).max()
     assert dev < 0.05
     assert dev == pytest.approx(RWA_DEV_G001, rel=1e-3)
+
+
+@pytest.mark.parametrize("periodic", [False, True], ids=["integrate", "propagate_periodic"])
+@pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
+def test_renormalize_is_division_by_norm(method, periodic):
+    # coarse settings, so that the norm visibly drifts without renormalizing
+    p = DriveParams(delta=1.2, g=0.3, omega=1.0, phi=0.4)
+
+    def run(renormalize):
+        cfg = IntegratorConfig(
+            method=method, dt=0.5, rel_tol=1e-4, abs_tol=1e-6, renormalize=renormalize
+        )
+        h = lambda t: hamiltonian_full(t, p)  # noqa: E731
+        if periodic:
+            return propagate_periodic(h, 2 * np.pi, KET0, sample_grid(0.0, 20.0, 0.5), cfg)
+        return integrate(h, KET0, 0.0, 20.0, cfg)
+
+    ref, ts = run(False), run(True)
+    assert np.abs(ref.norms - 1.0).max() > 1e-6
+    assert ts.flags == {"renormalized"}
+    assert np.abs(ts.norms - 1.0).max() < 1e-14
+    assert np.abs(ts.states - ref.states / ref.norms[:, None]).max() < 1e-10
+
+
+def _superposition(seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return psi / np.linalg.norm(psi)
+
+
+class TestPropagatePeriodic:
+    # detuned, with a drive phase; period 2 pi / omega
+    P = DriveParams(delta=1.3, g=0.1, omega=1.0, phi=0.7)
+    TIGHT = IntegratorConfig(dt=0.1, rel_tol=1e-12, abs_tol=1e-14)
+
+    @staticmethod
+    def h(p):
+        return lambda t: hamiltonian_full(t, p)
+
+    def both(self, p, t_final, cfg, oracle_cfg=None):
+        psi0 = _superposition(3)
+        period = 2 * np.pi / p.omega
+        times = sample_grid(0.0, t_final, cfg.dt)
+        floquet = propagate_periodic(self.h(p), period, psi0, times, cfg)
+        direct = integrate(self.h(p), psi0, 0.0, t_final, oracle_cfg or cfg)
+        return floquet, direct
+
+    def test_matches_integrate_over_forty_periods(self):
+        floquet, direct = self.both(self.P, 40.5 * 2 * np.pi, self.TIGHT)
+        np.testing.assert_array_equal(floquet.times, direct.times)
+        assert np.abs(floquet.states - direct.states).max() < 1e-10
+        assert not floquet.flags
+
+    def test_shorter_than_one_period(self):
+        floquet, direct = self.both(self.P, 0.7 * 2 * np.pi, self.TIGHT)
+        assert np.abs(floquet.states - direct.states).max() < 1e-12
+
+    def test_integrates_no_further_than_the_last_phase(self):
+        seen = []
+
+        def h(t):
+            seen.append(t)
+            return hamiltonian_full(t, self.P)
+
+        t_final = 0.7 * 2 * np.pi
+        propagate_periodic(h, 2 * np.pi, KET0, sample_grid(0.0, t_final, 0.1), self.TIGHT)
+        assert max(seen) <= t_final
+
+    def test_repeated_phases(self):
+        # omega = 2 pi and dt = 0.1: every period revisits the same ten phases
+        p = DriveParams(delta=5.0, g=0.4, omega=2 * np.pi, phi=0.3)
+        floquet, direct = self.both(p, 12.0, self.TIGHT)
+        assert np.abs(floquet.states - direct.states).max() < 1e-10
+
+    def test_rk4_steps_are_at_most_dt(self):
+        # a fine-step oracle on a grid that contains every sample time
+        cfg = IntegratorConfig(method="rk4-fixed", dt=0.1)
+        fine = IntegratorConfig(method="rk4-fixed", dt=0.1 / 16)
+        floquet, direct = self.both(self.P, 10.0 * 2 * np.pi, cfg, fine)
+        oracle = direct.states[::16]
+        np.testing.assert_allclose(direct.times[::16], floquet.times[:-1], rtol=0, atol=1e-12)
+        assert np.abs(floquet.states[:-1] - oracle).max() < 1e-8
+        # a direct rk4-fixed run with the same dt is three orders of magnitude worse
+        coarse = integrate(self.h(self.P), _superposition(3), 0.0, 10.0 * 2 * np.pi, cfg)
+        assert np.abs(coarse.states[:-1] - oracle).max() > 1e-7
+
+    def test_single_sample_is_the_initial_state(self):
+        psi0 = _superposition(4)
+        ts = propagate_periodic(self.h(self.P), 2 * np.pi, psi0, np.array([0.0]), self.TIGHT)
+        np.testing.assert_array_equal(ts.states, [psi0])
+
+    def test_rejects_negative_times(self):
+        with pytest.raises(ValueError):
+            propagate_periodic(self.h(self.P), 2 * np.pi, KET0, np.array([-1.0, 0.0]), self.TIGHT)
+
+    def test_rejects_non_hermitian_hamiltonian(self):
+        with pytest.raises(ModelError):
+            times = sample_grid(0.0, 3.0, 0.1)
+            propagate_periodic(lambda t: pauli("+"), 1.0, KET0, times, self.TIGHT)
+
+    def test_effort_does_not_grow_with_the_number_of_periods(self):
+        def h_evals(periods):
+            count = 0
+
+            def h(t):
+                nonlocal count
+                count += 1
+                return hamiltonian_full(t, self.P)
+
+            times = sample_grid(0.0, periods * 2 * np.pi, 0.1)
+            propagate_periodic(h, 2 * np.pi, KET0, times, self.TIGHT)
+            return count
+
+        assert h_evals(40) <= 1.5 * h_evals(1)
 
 
 class TestValidation:

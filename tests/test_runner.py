@@ -9,9 +9,10 @@ import yaml
 
 from rwasim import cli
 from rwasim.errors import RiccatiPoleError, ScenarioError
-from rwasim.integrator import TimeSeries
+from rwasim.integrator import TimeSeries, fidelity
 from rwasim.runner import (
     PARTNER_MODEL,
+    RunResult,
     Scenario,
     compare_results,
     load_metadata,
@@ -305,6 +306,27 @@ class TestCompare:
         with pytest.raises(ValueError, match="incompatible"):
             compare_results(a, b)
 
+    def test_fidelity_column_matches_per_row_fidelity(self):
+        rng = np.random.default_rng(16)
+        scenario = Scenario.from_dict(base_quantum(t_final=2.0))  # state dimension 16
+        times = np.linspace(0.0, 2.0, 50)
+
+        def random_run():
+            states = rng.normal(size=(50, 16)) + 1j * rng.normal(size=(50, 16))
+            norms = np.linalg.norm(states, axis=1)
+            return RunResult(scenario, TimeSeries(times=times, states=states, norms=norms))
+
+        a, b = random_run(), random_run()
+        per_row = [
+            fidelity(sa / np.linalg.norm(sa), sb / np.linalg.norm(sb))
+            for sa, sb in zip(a.series.states, b.series.states)
+        ]
+        report = compare_results(a, b)
+        assert np.abs(report.fidelities - per_row).max() < 1e-15
+        self_report = compare_results(a, a)
+        assert np.all(self_report.fidelities <= 1.0)
+        assert np.abs(self_report.fidelities - 1.0).max() < 1e-15
+
     def test_resampling_flagged(self):
         a = run_scenario(Scenario.from_dict(base_semiclassical(t_final=10.0, dt=0.2)))
         b = run_scenario(Scenario.from_dict(base_semiclassical(t_final=10.0, dt=0.3)))
@@ -467,6 +489,8 @@ class TestCli:
             # H is finite but the state overflows
             ("semiclassical-full", 1.0e200, "rk4-fixed"),
             ("semiclassical-riccati", 1.0e308, "rk45-adaptive"),
+            # the Rabi phase overflows; the closed form used to raise in math.sin
+            ("semiclassical-rwa", 1.0e308, "rk45-adaptive"),
         ],
     )
     def test_overflowing_run_is_solver_error(self, tmp_path, capsys, model, g, method):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rwasim.errors import RiccatiPoleError
+from rwasim.errors import RiccatiPoleError, StiffnessError
 from rwasim.integrator import IntegratorConfig, fidelity, integrate, sample_grid
 from rwasim.linalg import expm_series, is_hermitian, is_unitary, pauli
 from rwasim.semiclassical import (
@@ -190,6 +190,26 @@ class TestExactRwaTrajectory:
         # same equation with the same initial state
         assert np.abs(exact.states - num.states).max() < 1e-9
 
+    def test_matches_per_sample_composition(self):
+        rng = np.random.default_rng(5)
+        p = DriveParams(delta=1.4, g=0.2, omega=1.0, phi=0.9)
+        psi0 = rng.normal(size=2) + 1j * rng.normal(size=2)
+        psi0 /= np.linalg.norm(psi0)
+        ts = sample_grid(0.3, 25.0, 0.1)
+        phi0 = to_rotating_frame(psi0, ts[0], p)
+        composed = np.array(
+            [from_rotating_frame(propagator_rwa_rotating(t - ts[0], p) @ phi0, t, p) for t in ts]
+        )
+        assert np.abs(propagate_rwa_exact(p, psi0, ts).states - composed).max() < 1e-14
+
+    def test_overflowing_phase_gives_nan_states(self):
+        # the Rabi phase overflows to inf after t = 0; no math domain error
+        p = DriveParams(delta=1.0, g=1.0e308, omega=1.0)
+        with np.errstate(all="ignore"):
+            series = propagate_rwa_exact(p, KET0, sample_grid(0.0, 10.0, 5.0))
+        assert np.isfinite(series.states[0]).all()
+        assert np.isnan(series.states[1:]).all()
+
 
 class TestRiccati:
     def test_initial_slope(self):
@@ -284,6 +304,16 @@ class TestBeyondRwa:
         p = DriveParams(delta=1.0, g=0.05, omega=1.0)
         with pytest.raises(ValueError):
             solve_beyond_rwa(p, 10.0, -0.1, KET0)
+
+    def test_failed_integration_is_no_pole(self):
+        # the vector field is NaN from the first step: step control fails
+        # before either guard can fire
+        p = DriveParams(delta=1.0, g=1.0e308, omega=1.0)
+        with np.errstate(all="ignore"), pytest.raises(StiffnessError) as excinfo:
+            solve_beyond_rwa(p, 10.0, 0.1, KET0)
+        assert not isinstance(excinfo.value, RiccatiPoleError)
+        assert "adaptive integration failed" in str(excinfo.value)
+        assert "pole" not in str(excinfo.value).lower()
 
 
 class TestDriveParams:
