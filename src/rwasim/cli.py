@@ -13,7 +13,7 @@ from pathlib import Path
 from .errors import RiccatiPoleError, ScenarioError, SimulationError
 from .runner import (
     attach_observables,
-    compare_results,
+    compare_scenarios,
     load_scenario_file,
     run_scenario,
     sweep_scenario,
@@ -57,9 +57,9 @@ def _cmd_run(args):
 
 
 def _cmd_compare(args):
-    scen_a = load_scenario_file(args.scenario_a)
-    scen_b = load_scenario_file(args.scenario_b)
-    report = compare_results(run_scenario(scen_a), run_scenario(scen_b))
+    report = compare_scenarios(
+        load_scenario_file(args.scenario_a), load_scenario_file(args.scenario_b)
+    )
     out = _out_dir(args) / f"{Path(args.scenario_a).stem}__vs__{Path(args.scenario_b).stem}.csv"
     write_comparison(report, out)
     print(out)

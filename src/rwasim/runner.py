@@ -412,39 +412,25 @@ class ComparisonReport:
     flags: set
 
 
-def _interp_states(times_from, states_from, times_to):
-    out = np.empty((times_to.size, states_from.shape[1]), dtype=complex)
-    for j in range(states_from.shape[1]):
-        out[:, j] = np.interp(times_to, times_from, states_from[:, j].real) + 1j * np.interp(
-            times_to, times_from, states_from[:, j].imag
-        )
-    return out
-
-
 def compare_results(a, b):
     """Build a ComparisonReport from two completed runs.
 
-    The runs must share the state dimension. If the sample grids differ, b is
-    linearly interpolated onto a's grid (restricted to the overlap) and the
-    report is flagged 'resampled'.
+    The runs must share the state dimension and the sample grid;
+    compare_scenarios runs b on a's grid.
     """
     if a.series.states.shape[1] != b.series.states.shape[1]:
         raise ValueError(
             f"incompatible state dimensions: {a.series.states.shape[1]} vs "
             f"{b.series.states.shape[1]}"
         )
+    times, tb = a.series.times, b.series.times
+    if times.size != tb.size or not np.allclose(times, tb, rtol=0, atol=1e-12):
+        raise ValueError(
+            f"different time grids: {times.size} samples to t = {times[-1]!r} vs "
+            f"{tb.size} to t = {tb[-1]!r}"
+        )
     flags = set(a.flags) | set(b.flags)
-    ta, tb = a.series.times, b.series.times
-    if ta.size == tb.size and np.allclose(ta, tb, rtol=0, atol=1e-12):
-        times = ta
-        states_a, states_b = a.series.states, b.series.states
-    else:
-        flags.add("resampled")
-        lo, hi = max(ta[0], tb[0]), min(ta[-1], tb[-1])
-        mask = (ta >= lo - 1e-12) & (ta <= hi + 1e-12)
-        times = ta[mask]
-        states_a = a.series.states[mask]
-        states_b = _interp_states(tb, b.series.states, times)
+    states_a, states_b = a.series.states, b.series.states
 
     # integrator.fidelity of each pair of normalized rows, in one pass
     unit_a = states_a / np.linalg.norm(states_a, axis=1, keepdims=True)
@@ -479,6 +465,17 @@ def compare_results(a, b):
 
 
 def compare_scenarios(scenario_a, scenario_b):
+    """Run both scenarios, b on a's time grid, and compare them.
+
+    When b's (t_final, dt) differ from a's, b is re-parsed with a's values,
+    so the report's scenario-b echo is the run that was compared.
+    """
+    dim_a, dim_b = scenario_a.state_dimension(), scenario_b.state_dimension()
+    if dim_a != dim_b:
+        raise ScenarioError(f"incompatible state dimensions: {dim_a} vs {dim_b}")
+    t_final, dt = scenario_a.resolved_t_final(), scenario_a.dt
+    if (scenario_b.resolved_t_final(), scenario_b.dt) != (t_final, dt):
+        scenario_b = Scenario.from_dict({**scenario_b.to_dict(), "t_final": t_final, "dt": dt})
     return compare_results(run_scenario(scenario_a), run_scenario(scenario_b))
 
 
@@ -491,24 +488,16 @@ def sweep_scenario(base, param, values):
     returned per value.
     """
     base_dict = base.to_dict()
-    if param in base_dict["params"]:
-        setter = lambda d, v: d["params"].__setitem__(param, v)  # noqa: E731
-    elif param in ("t_final", "dt"):
-        setter = lambda d, v: d.__setitem__(param, v)  # noqa: E731
-    else:
+    if param not in base_dict["params"] and param not in ("t_final", "dt"):
         raise ScenarioError(
             f"{param!r} is not a numeric scenario parameter", f"params.{param}"
         )
     rows = []
     for value in values:
         d = json.loads(json.dumps(base_dict))  # deep copy
-        setter(d, value)
-        if param == "dim":
-            d["params"]["dim"] = int(value)
+        (d["params"] if param in d["params"] else d)[param] = value
         scen_a = Scenario.from_dict(d)
-        d_partner = json.loads(json.dumps(d))
-        d_partner["model"] = PARTNER_MODEL[scen_a.model]
-        scen_b = Scenario.from_dict(d_partner)
+        scen_b = Scenario.from_dict({**d, "model": PARTNER_MODEL[scen_a.model]})
         report = compare_scenarios(scen_a, scen_b)
         rows.append(
             {

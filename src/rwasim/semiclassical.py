@@ -115,8 +115,9 @@ def propagator_rwa_rotating(t, p):
     m = rotating_frame_generator(p)
     rabi = generalized_rabi_frequency(p)
     x = rabi * t
-    sinc = t if rabi == 0 else math.sin(x) / rabi
-    return math.cos(x) * np.eye(2, dtype=complex) - 1j * sinc * m
+    # numpy's sin/cos give NaN for an overflowed phase where math's raise
+    sinc = t if rabi == 0 else np.sin(x) / rabi
+    return np.cos(x) * np.eye(2, dtype=complex) - 1j * sinc * m
 
 
 def _lab_phase_matrix(t, p):
@@ -140,7 +141,7 @@ def propagator_rwa_resonance(t, p):
             f"resonance propagator requires delta = omega (|detuning| <= {RESONANCE_TOL}); "
             "use propagator_rwa_detuned for detuned drives"
         )
-    c, s = math.cos(p.g * t), math.sin(p.g * t)
+    c, s = np.cos(p.g * t), np.sin(p.g * t)
     ph = np.exp(-1j * (p.omega * t + p.phi))
     return np.array([[c, -1j * s], [-1j * ph * s, ph * c]], dtype=complex)
 

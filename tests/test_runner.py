@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from rwasim import cli
+from rwasim import cli, runner
 from rwasim.errors import RiccatiPoleError, ScenarioError
 from rwasim.integrator import TimeSeries, fidelity
 from rwasim.runner import (
@@ -15,6 +15,7 @@ from rwasim.runner import (
     RunResult,
     Scenario,
     compare_results,
+    compare_scenarios,
     load_metadata,
     load_scenario_file,
     load_table,
@@ -327,13 +328,28 @@ class TestCompare:
         assert np.all(self_report.fidelities <= 1.0)
         assert np.abs(self_report.fidelities - 1.0).max() < 1e-15
 
-    def test_resampling_flagged(self):
+    def test_b_runs_on_the_grid_of_a(self):
+        a = Scenario.from_dict(base_semiclassical(t_final=10.0, dt=0.2))
+        b = Scenario.from_dict(base_semiclassical(t_final=10.0, dt=0.3))
+        report = compare_scenarios(a, b)
+        # the same run on the same grid: no resampling error is added
+        assert report.max_pop_dev == 0.0
+        assert report.flags == set()
+        assert report.scenario_b["dt"] == 0.2
+        assert report.hash_a == report.hash_b
+
+    def test_shorter_b_is_run_to_the_end_of_a(self):
+        a = Scenario.from_dict(base_semiclassical(t_final=10.0))
+        b = Scenario.from_dict(base_semiclassical(model="semiclassical-full", t_final=4.0))
+        report = compare_scenarios(a, b)
+        assert report.times[-1] == 10.0
+        assert report.scenario_b["t_final"] == 10.0
+
+    def test_different_grids_rejected(self):
         a = run_scenario(Scenario.from_dict(base_semiclassical(t_final=10.0, dt=0.2)))
         b = run_scenario(Scenario.from_dict(base_semiclassical(t_final=10.0, dt=0.3)))
-        report = compare_results(a, b)
-        assert "resampled" in report.flags
-        # same dynamics, so only the interpolation error remains
-        assert report.min_fidelity >= 1 - 1e-4
+        with pytest.raises(ValueError, match="different time grids"):
+            compare_results(a, b)
 
 
 class TestSweep:
@@ -432,6 +448,18 @@ class TestCli:
         # counter-rotating correction, of order (g/2 omega)^2
         assert data[:, 1].min() >= 0.99
 
+    def test_compare_incompatible_models_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def fail(scenario):
+            raise AssertionError("solved a scenario")
+
+        # the dimensions are checked before anything is solved
+        monkeypatch.setattr(runner, "run_scenario", fail)
+        a = self.write_scenario(tmp_path, base_semiclassical(t_final=2.0), "a.yaml")
+        b = self.write_scenario(tmp_path, base_quantum(t_final=2.0), "b.yaml")
+        assert cli.main(["compare", str(a), str(b), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "config error: incompatible state dimensions: 2 vs 16" in capsys.readouterr().err
+        assert not (tmp_path / "a__vs__b.csv").exists()
+
     def test_sweep_command(self, tmp_path):
         path = self.write_scenario(
             tmp_path, base_semiclassical(model="semiclassical-full", t_final=20.0)
@@ -442,6 +470,15 @@ class TestCli:
         assert code == 0
         columns, data = load_table(tmp_path / "scenario__sweep__g.csv")
         assert columns[0] == "value" and data.shape[0] == 2
+
+    def test_sweep_non_integer_dim_is_config_error(self, tmp_path, capsys):
+        path = self.write_scenario(tmp_path, base_quantum(model="quantum-rabi", t_final=2.0))
+        code = cli.main(
+            ["sweep", str(path), "--param", "dim", "--values", "8.5,9", "--out", str(tmp_path)]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "config error: params.dim: expected an integer" in capsys.readouterr().err
+        assert not (tmp_path / "scenario__sweep__dim.csv").exists()
 
     def test_sweep_bad_values(self, tmp_path):
         path = self.write_scenario(tmp_path, base_semiclassical())

@@ -210,6 +210,16 @@ class TestExactRwaTrajectory:
         assert np.isfinite(series.states[0]).all()
         assert np.isnan(series.states[1:]).all()
 
+    @pytest.mark.parametrize(
+        "propagator", [propagator_rwa_rotating, propagator_rwa_detuned, propagator_rwa_resonance]
+    )
+    def test_overflowing_phase_gives_nan_propagator(self, propagator):
+        p = DriveParams(delta=1.0, g=1.0e308, omega=1.0)
+        with np.errstate(all="ignore"):
+            u = propagator(10.0, p)
+        assert u.shape == (2, 2)
+        assert np.isnan(u).all()
+
 
 class TestRiccati:
     def test_initial_slope(self):
