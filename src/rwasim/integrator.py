@@ -38,8 +38,8 @@ class IntegratorConfig:
 
     method: str = "rk45-adaptive"
     dt: float = 0.1
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
+    rel_tol: float = 1e-12
+    abs_tol: float = 1e-14
     renormalize: bool = False
 
     def __post_init__(self):

@@ -160,11 +160,15 @@ def is_unitary(m, tol=1e-10):
 
 
 def normalize(v):
-    """Return v / ||v||, rejecting zero or non-finite vectors."""
+    """Return v / ||v||, rejecting zero or non-finite vectors and vectors
+    whose norm overflows."""
     v = np.asarray(v, dtype=complex)
     if not np.all(np.isfinite(v)):
         raise ValueError("state vector has non-finite entries")
-    norm = np.linalg.norm(v)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
     if norm == 0:
         raise ValueError("cannot normalize a zero vector")
+    if np.isinf(norm):
+        raise ValueError("the norm of the state vector overflows")
     return v / norm

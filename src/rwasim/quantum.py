@@ -225,22 +225,21 @@ def _simulate(h, p, psi0, t_final, dt):
     return _monitored_series(ts, states, p)
 
 
-def simulate_quantum_rabi(p, psi0, t_final, dt, cfg=None):
+def simulate_quantum_rabi(p, psi0, t_final, dt):
     """Full quantum Rabi dynamics from psi0, sampled every dt up to t_final.
 
     The Hamiltonian is constant, so the trajectory is propagated spectrally
-    from one eigendecomposition; no ODE integrator is involved and `cfg` is
-    accepted for compatibility only (it selects nothing). The population of
-    the top two Fock levels is monitored over the whole run; if it ever
-    exceeds 1e-8 the returned series carries the truncation_suspect flag.
+    from one eigendecomposition; no ODE integrator is involved. The
+    population of the top two Fock levels is monitored over the whole run;
+    if it ever exceeds 1e-8 the returned series carries the
+    truncation_suspect flag.
     """
     return _simulate(hamiltonian_quantum_rabi(p), p, psi0, t_final, dt)
 
 
-def simulate_jaynes_cummings(p, psi0, t_final, dt, cfg=None):
+def simulate_jaynes_cummings(p, psi0, t_final, dt):
     """Jaynes-Cummings dynamics, propagated spectrally like
-    simulate_quantum_rabi (`cfg` likewise selects nothing), with the same
-    truncation-leakage monitoring."""
+    simulate_quantum_rabi, with the same truncation-leakage monitoring."""
     return _simulate(hamiltonian_jc(p), p, psi0, t_final, dt)
 
 
@@ -271,4 +270,5 @@ def simulate_jc_analytic(p, psi0, t_final, dt):
         ],
         axis=1,
     )
-    return _monitored_series(ts, states, p)
+    # + 0.0 turns the -0.0 the closed form gives for exact zeros into 0.0
+    return _monitored_series(ts, states + 0.0, p)

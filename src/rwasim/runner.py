@@ -125,13 +125,19 @@ PARTNER_MODEL = {name: spec.partner for name, spec in MODELS.items()}
 # the sweep columns list them.
 SUMMARY = ("max_pop_dev", "mean_pop_dev", "t_of_max_dev", "min_fidelity", "peak_p1_a", "peak_p1_b")
 
+# Size caps checked at parse time, so that no scenario asks for an unbounded
+# allocation: the Fock truncation, and the complex entries of one trajectory
+# (samples times the joint state dimension; 2**22 entries are 64 MiB).
+MAX_DIM = 2048
+MAX_STATE_ENTRIES = 2**22
+
 
 def _as_float(value, field_path):
     if isinstance(value, bool) or value is None:
         raise ScenarioError("expected a number", field_path)
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"expected a number, got {value!r}", field_path) from None
     if not math.isfinite(number):
         raise ScenarioError(f"expected a finite number, got {value!r}", field_path)
@@ -145,9 +151,30 @@ def _as_int(value, field_path):
     return int(f)
 
 
-def _param(params_raw, f):
-    value = params_raw.get(f.name, None if f.default is MISSING else f.default)
-    return (_as_int if f.type is int else _as_float)(value, f"params.{f.name}")
+def _build(cls, raw, path, **given):
+    """Parse the scenario block at `path` into dataclass `cls`, whose fields
+    not `given` are its keys: int and float fields take finite numbers, bool
+    fields YAML booleans, and the dataclass validates the rest."""
+    if not isinstance(raw, dict):
+        raise ScenarioError("expected a mapping", path)
+    parsed = [f for f in fields(cls) if f.name not in given]
+    _check_keys(raw, {f.name for f in parsed}, path)
+    for f in parsed:
+        value = raw.get(f.name, None if f.default is MISSING else f.default)
+        where = f"{path}.{f.name}"
+        if f.type is int:
+            value = _as_int(value, where)
+        elif f.type is float:
+            value = _as_float(value, where)
+        elif f.type is bool and not isinstance(value, bool):
+            raise ScenarioError(f"expected true or false, got {value!r}", where)
+        given[f.name] = value
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        if isinstance(exc, ScenarioError):
+            raise
+        raise ScenarioError(str(exc), path) from None
 
 
 @dataclass(frozen=True)
@@ -173,16 +200,9 @@ class Scenario:
             raise ScenarioError(f"must be one of {', '.join(MODELS)}; got {model!r}", "model")
         spec = MODELS[model]
 
-        params_raw = raw.get("params")
-        if not isinstance(params_raw, dict):
-            raise ScenarioError("expected a mapping", "params")
-        _check_keys(params_raw, {f.name for f in fields(spec.params)}, "params")
-        try:
-            params = spec.params(**{f.name: _param(params_raw, f) for f in fields(spec.params)})
-        except ValueError as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioError(str(exc), "params") from None
+        params = _build(spec.params, raw.get("params"), "params")
+        if params.dim > MAX_DIM:
+            raise ScenarioError(f"at most {MAX_DIM}, got {params.dim}", "params.dim")
 
         t_final = raw.get("t_final")
         if t_final != "rabi-period":
@@ -192,28 +212,15 @@ class Scenario:
         dt = _as_float(raw.get("dt"), "dt")
         if not dt > 0:
             raise ScenarioError("must be positive", "dt")
-
-        integ_raw = raw.get("integrator", {})
-        if not isinstance(integ_raw, dict):
-            raise ScenarioError("expected a mapping", "integrator")
-        _check_keys(integ_raw, {"method", "rel_tol", "abs_tol", "renormalize"}, "integrator")
-        renormalize = integ_raw.get("renormalize", False)
-        if not isinstance(renormalize, bool):
+        # an upper bound on len(sample_grid(0, t_final, dt))
+        samples = _resolve_t_final(t_final, params) / dt + 2
+        if samples * 2 * params.dim > MAX_STATE_ENTRIES:
             raise ScenarioError(
-                f"expected true or false, got {renormalize!r}", "integrator.renormalize"
+                f"{samples:.3g} samples of dimension {2 * params.dim} exceed "
+                f"{MAX_STATE_ENTRIES} state entries; raise dt or lower t_final",
+                "dt",
             )
-        try:
-            integ = IntegratorConfig(
-                method=integ_raw.get("method", "rk45-adaptive"),
-                dt=dt,
-                rel_tol=_as_float(integ_raw.get("rel_tol", 1e-12), "integrator.rel_tol"),
-                abs_tol=_as_float(integ_raw.get("abs_tol", 1e-14), "integrator.abs_tol"),
-                renormalize=renormalize,
-            )
-        except ValueError as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioError(str(exc), "integrator") from None
+        integ = _build(IntegratorConfig, raw.get("integrator", {}), "integrator", dt=dt)
 
         outputs = raw.get("outputs")
         valid = spec.observables
@@ -262,11 +269,7 @@ class Scenario:
         return hashlib.sha256(blob).hexdigest()[:12]
 
     def resolved_t_final(self):
-        if self.t_final == "rabi-period":
-            if self.params.g == 0:
-                raise ScenarioError("rabi-period requires g > 0", "t_final")
-            return 2.0 * np.pi / self.params.g
-        return float(self.t_final)
+        return _resolve_t_final(self.t_final, self.params)
 
     def state_dimension(self):
         return 2 * self.params.dim
@@ -278,7 +281,15 @@ class Scenario:
 def _check_keys(raw, allowed, field_path):
     unknown = set(raw) - allowed
     if unknown:
-        raise ScenarioError(f"unknown keys {sorted(unknown)}", field_path)
+        raise ScenarioError(f"unknown keys {sorted(unknown, key=str)}", field_path)
+
+
+def _resolve_t_final(t_final, params):
+    if t_final == "rabi-period":
+        if params.g == 0:
+            raise ScenarioError("rabi-period requires g > 0", "t_final")
+        return 2.0 * np.pi / params.g
+    return float(t_final)
 
 
 def _parse_initial_state(spec, params):

@@ -160,8 +160,7 @@ def test_criterion_06_vacuum_rabi_oscillation():
     p = JCParams(big_omega=1.0, omega=1.0, g=0.1, dim=8)
     psi0 = np.zeros(16, dtype=complex)
     psi0[0] = 1.0
-    cfg = IntegratorConfig(dt=0.2, rel_tol=1e-12, abs_tol=1e-14)
-    series = simulate_jaynes_cummings(p, psi0, 2 * np.pi / p.g, 0.2, cfg)
+    series = simulate_jaynes_cummings(p, psi0, 2 * np.pi / p.g, 0.2)
     pops = np.abs(series.states) ** 2
     p_up = pops[:, :8].sum(axis=1)
     n = np.arange(8)
@@ -292,14 +291,13 @@ def test_criterion_09_structural_invariants():
 
 def test_criterion_10_truncation_nesting():
     g = 0.1
-    cfg = IntegratorConfig(dt=0.2, rel_tol=1e-12, abs_tol=1e-14)
     t_end = 2 * np.pi / g
     runs = {}
     for dim in (8, 16):
         p = JCParams(big_omega=1.0, omega=1.0, g=g, dim=dim)
         psi0 = np.zeros(2 * dim, dtype=complex)
         psi0[0] = 1.0
-        runs[dim] = simulate_jaynes_cummings(p, psi0, t_end, 0.2, cfg)
+        runs[dim] = simulate_jaynes_cummings(p, psi0, t_end, 0.2)
     small, big = runs[8], runs[16]
     worst = 0.0
     for k in range(small.times.size):

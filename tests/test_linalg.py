@@ -9,6 +9,7 @@ from rwasim.linalg import (
     expm_via_hadamard,
     is_hermitian,
     is_unitary,
+    normalize,
     pauli,
     tensor_product,
     walsh_hadamard,
@@ -231,3 +232,21 @@ class TestFlagChecks:
     def test_unitary_check(self):
         assert is_unitary(walsh_hadamard())
         assert not is_unitary(2 * np.eye(2))
+
+
+class TestNormalize:
+    def test_unit_norm(self):
+        assert np.linalg.norm(normalize(np.array([3.0, 4.0j]))) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "vector,message",
+        [
+            ([0.0, 0.0], "zero vector"),
+            ([np.inf, 1.0], "non-finite"),
+            # every entry is finite, but the sum of squares is not
+            ([1e308, 1e308], "norm of the state vector overflows"),
+        ],
+    )
+    def test_rejects(self, vector, message):
+        with pytest.raises(ValueError, match=message):
+            normalize(np.array(vector))

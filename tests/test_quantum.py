@@ -224,6 +224,15 @@ class TestLabFrame:
         assert ("truncation_suspect" in vacuum_run.flags) == (dim == 3)
 
 
+    def test_closed_form_writes_no_negative_zero(self):
+        # exact zeros of the closed form are 0.0, never -0.0, in every part
+        p = JCParams(big_omega=1.3, omega=1.0, g=0.1, dim=6)
+        parts = simulate_jc_analytic(p, joint_state(0, 0, 6), 10.0, 0.1).states.view(float)
+        zeros = parts[parts == 0.0]
+        assert zeros.size > 0
+        assert not np.signbit(zeros).any()
+
+
 class TestSimulation:
     def test_uncoupled_populations_and_phases(self):
         p = JCParams(big_omega=1.3, omega=1.0, g=0.0, dim=4)

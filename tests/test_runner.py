@@ -9,7 +9,7 @@ import yaml
 
 from rwasim import cli, runner
 from rwasim.errors import RiccatiPoleError, ScenarioError
-from rwasim.integrator import TimeSeries, fidelity
+from rwasim.integrator import IntegratorConfig, TimeSeries, fidelity
 from rwasim.runner import (
     PARTNER_MODEL,
     RunResult,
@@ -23,6 +23,9 @@ from rwasim.runner import (
     sweep_scenario,
     write_timeseries,
 )
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def base_semiclassical(**overrides):
@@ -103,6 +106,15 @@ class TestScenarioParsing:
         s = Scenario.from_dict(base_semiclassical(integrator={"renormalize": value}))
         assert s.integrator.renormalize is value
         assert s.to_dict()["integrator"]["renormalize"] is value
+
+    def test_integrator_defaults_are_those_of_the_config(self):
+        minimal = base_semiclassical()
+        assert Scenario.from_dict(minimal).integrator == IntegratorConfig(dt=minimal["dt"])
+
+    def test_integrator_errors_come_in_field_order(self):
+        d = base_semiclassical(integrator={"renormalize": "no", "rel_tol": "tight"})
+        with pytest.raises(ScenarioError, match="integrator.rel_tol"):
+            Scenario.from_dict(d)
 
     def test_bad_observable_for_family(self):
         with pytest.raises(ScenarioError, match="n_photon"):
@@ -542,6 +554,51 @@ class TestCli:
             assert cli.main(["run", str(path), "--out", str(tmp_path)]) == cli.EXIT_SOLVER
         assert "solver error:" in capsys.readouterr().err
         assert not (tmp_path / "scenario.csv").exists()
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"integrator": {"method": "euler"}}, "integrator: unknown integrator method 'euler'"),
+            ({"initial_state": [0.0, [0.0, 0.0]]}, "initial_state: cannot normalize a zero vector"),
+            ({"initial_state": [1e308, 1e308]}, "initial_state: the norm of the state vector"),
+            ({"outputs": "p0"}, "outputs: expected a list of observable names"),
+            ({"initial_state": "atom:0 spin:1"}, "initial_state: unknown token 'spin:1'"),
+            ({"initial_state": [1.0, [0.0, 0.0, 0.0]]}, "initial_state: entry 1 must be a number"),
+            ({"dt": 1.0e-300}, "dt: 2e+300 samples of dimension 2 exceed"),
+            ({"dt": 10**400}, "dt: expected a number, got 1000"),
+        ],
+    )
+    def test_config_error_names_the_field(self, tmp_path, capsys, changes, message):
+        path = self.write_scenario(tmp_path, base_semiclassical(t_final=2.0, **changes))
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "scenario.csv").exists()
+
+    @pytest.mark.parametrize(
+        "params,top,message",
+        [
+            # 629 samples of a 16-entry state at dt 0.1; 6.3e7 at dt 1e-6
+            ({}, {"dt": 1.0e-6}, "dt: 6.28e+07 samples of dimension 16 exceed"),
+            ({"dim": 1.0e12}, {}, "params.dim: at most 2048, got 1000000000000"),
+            ({"dim": 20000}, {}, "params.dim: at most 2048, got 20000"),
+            ({"dim": 2048}, {"dt": 0.01}, "dt: 6.29e+03 samples of dimension 4096"),
+            ({"g": 0.0}, {}, "t_final: rabi-period requires g > 0"),
+        ],
+    )
+    def test_shipped_quantum_scenario_rejected_at_parse(
+        self, tmp_path, capsys, params, top, message
+    ):
+        spec = yaml.safe_load((SCENARIOS / "quantum_rabi.yaml").read_text())
+        spec["params"].update(params)
+        path = self.write_scenario(tmp_path, {**spec, **top})
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "scenario.csv").exists()
+
+    def test_largest_truncation_parses(self):
+        spec = yaml.safe_load((SCENARIOS / "quantum_rabi.yaml").read_text())
+        spec["params"]["dim"] = 2048
+        assert Scenario.from_dict(spec).state_dimension() == 4096
 
     def test_empty_scenario_file(self, tmp_path):
         path = tmp_path / "empty.yaml"
