@@ -1,9 +1,14 @@
 """Numerical propagation of i d/dt psi = H(t) psi for arbitrary H(t).
 
-This is the package's independent oracle: a fixed-step classical RK4 and an
-adaptive RK45 (Dormand-Prince via scipy) driven purely by the Hamiltonian
-callback, with norm bookkeeping so step-size inadequacy is visible rather
-than silently corrected.
+`integrate` is the package's independent oracle: a fixed-step classical RK4
+and an adaptive RK45 (Dormand-Prince via scipy) driven purely by the
+Hamiltonian callback, with norm bookkeeping so step-size inadequacy is
+visible rather than silently corrected.
+
+`propagate_periodic` is the production route for a periodic H(t). It builds
+one period's propagator from fourth-order Magnus steps, whose Hamiltonians,
+exponentials and products are computed in batched numpy passes, and applies
+Floquet powers of it beyond the first period. It needs no scipy.
 """
 
 from dataclasses import dataclass, field
@@ -24,14 +29,31 @@ __all__ = [
 
 _HERMITIAN_TOL = 1e-10
 
+# The complex entries of the largest array one run may allocate: a
+# trajectory (samples times state dimension, checked when a scenario is
+# parsed) or one period's Magnus steps (steps times dim**2). 2**22 entries
+# are 64 MiB.
+MAX_STATE_ENTRIES = 2**22
+
+# The two Gauss-Legendre nodes of a unit step, and the weight of the
+# commutator term of the fourth-order Magnus expansion (Blanes, Casas, Oteo
+# and Ros, Phys. Rep. 470, 151, 2009).
+_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3.0) / 6.0
+_MAGNUS_WEIGHT = np.sqrt(3.0) / 12.0
+# Magnus steps taken in one batched pass, about 30 MB of arrays for a 2x2 H;
+# a longer period is taken in passes of this many steps.
+_CHUNK_STEPS = 2**16
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Settings for `integrate`.
+    """Settings for `integrate` and `propagate_periodic`.
 
-    method : "rk4-fixed" or "rk45-adaptive"
-    dt     : output sample spacing for both methods; the largest rk4-fixed step
-    rel_tol, abs_tol : adaptive error control (rk45-adaptive only)
+    method : "rk4-fixed" or "rk45-adaptive", for `integrate`
+    dt     : output sample spacing; the largest rk4-fixed step of `integrate`
+    rel_tol, abs_tol : adaptive error control of rk45-adaptive; rel_tol also
+        sets the Magnus step of `propagate_periodic`, which ignores method
+        and abs_tol
     renormalize : if True, divide every sample by its norm and flag the run;
         off by default so norm drift stays observable
     """
@@ -79,13 +101,21 @@ def sample_grid(t0, t1, dt):
 
 
 def _checked_h(h_of_t, dim):
+    """h_of_t with every evaluation checked: for a time t, or an array of
+    times, H has shape t.shape + (dim, dim) and each matrix is Hermitian."""
+
     def h(t):
         m = np.asarray(h_of_t(t), dtype=complex)
-        if m.shape != (dim, dim):
-            raise ModelError(f"H({t}) has shape {m.shape}, expected {(dim, dim)}")
+        shape = (*np.shape(t), dim, dim)
+        if m.shape != shape:
+            raise ModelError(f"H(t) has shape {m.shape}, expected {shape}")
         # negated <= so that a NaN defect (inf - inf in an overflowed H) fails
-        if not np.abs(m - m.conj().T).max() <= _HERMITIAN_TOL:
-            raise ModelError(f"H({t}) is not Hermitian within {_HERMITIAN_TOL}")
+        defect = np.abs(m - np.swapaxes(m, -1, -2).conj())
+        if not defect.max() <= _HERMITIAN_TOL:
+            bad = ~(defect.reshape(-1, dim * dim).max(axis=1) <= _HERMITIAN_TOL)
+            raise ModelError(
+                f"H({np.ravel(t)[np.argmax(bad)]}) is not Hermitian within {_HERMITIAN_TOL}"
+            )
         return m
 
     return h
@@ -121,12 +151,14 @@ def propagate_periodic(h_of_t, period, psi0, times, cfg):
     """Propagate psi0, the state at t = 0, to each of `times` under an H(t)
     of the given period, by Floquet's theorem U(nT + tau) = U(tau) U(T)^n.
 
-    The fundamental matrix U is integrated from the identity over one period
-    only, on the phases tau of the sample times (plus T itself when a time
-    lies beyond the first period), with the method of cfg; under rk4-fixed
-    every phase interval is at most cfg.dt when `times` is a grid of spacing
-    cfg.dt. The state at t = nT + tau is then U(tau) M^n psi0 with
-    M = U(T), the powers taken by repeated matrix-vector products, so that a
+    `h_of_t` receives a 1-D array of times and returns the stacked (n, dim,
+    dim) Hamiltonians at those times. The fundamental matrix U is built from
+    the identity over one period only, on the phases tau of the sample times
+    (plus T itself when a time lies beyond the first period), by `_magnus`
+    with a step set by cfg.rel_tol; cfg.method and cfg.abs_tol select
+    nothing here. The state at t = nT + tau is then U(tau) M^n psi0 with
+    M = U(T), the powers taken by matrix products (one matrix-vector
+    product per period when the samples visit every period), so that a
     non-finite M propagates to the states instead of failing in an
     eigendecomposition. Same Hermiticity check and TimeSeries contract as
     `integrate`.
@@ -144,15 +176,106 @@ def propagate_periodic(h_of_t, period, psi0, times, cfg):
     index = index[1:]
     if n.max() > 0:
         phases = np.append(phases, period)
-    eye = np.eye(psi.size, dtype=complex)
-    fundamental = _propagate(_checked_h(h_of_t, psi.size), eye, phases, cfg)
+    fundamental = _magnus(_checked_h(h_of_t, psi.size), phases, cfg.rel_tol)
 
-    powers = np.empty((n.max() + 1, psi.size), dtype=complex)
-    powers[0] = psi
-    for k in range(1, powers.shape[0]):
-        powers[k] = fundamental[-1] @ powers[k - 1]
-    states = np.einsum("kij,kj->ki", fundamental[index], powers[n])
+    # M^n psi0 for each distinct n, each from the one before by binary powers
+    # of M over the gap, so the work grows with the samples and log n only
+    periods, which = np.unique(n, return_inverse=True)
+    powers = np.empty((periods.size, psi.size), dtype=complex)
+    state, reached = psi, 0
+    for k, target in enumerate(periods):
+        gap, power = target - reached, fundamental[-1]
+        while gap:
+            if gap & 1:
+                state = power @ state
+            gap >>= 1
+            if gap:
+                power = power @ power
+        powers[k], reached = state, target
+    states = np.einsum("kij,kj->ki", fundamental[index], powers[which])
     return _series(times.copy(), states, cfg)
+
+
+def _magnus(h, nodes, rel_tol):
+    """The propagator from nodes[0] to every node, by two-point Gauss
+    fourth-order Magnus steps.
+
+    Each node interval is split into equal steps no longer than
+    rel_tol**0.25 / max ||H||, the largest spectral norm of H on the nodes,
+    so the step count is known before any step is taken; a count beyond
+    MAX_STATE_ENTRIES / dim**2 is a StiffnessError. A step of length s with
+    H1, H2 at its Gauss points has the Magnus exponent -i X with
+    X = s/2 (H1 + H2) + i (sqrt(3)/12) s**2 [H1, H2], which is Hermitian.
+    The steps are taken _CHUNK_STEPS at a time.
+    """
+    h_nodes = h(nodes)
+    dim = h_nodes.shape[-1]
+    u = np.empty(h_nodes.shape, dtype=complex)
+    u[0] = np.eye(dim)
+    if nodes.size == 1:
+        return u
+    widths = np.diff(nodes)
+    longest = rel_tol**0.25 / np.abs(np.linalg.eigvalsh(h_nodes)).max()
+    counts = np.maximum(np.ceil(widths / longest), 1.0)
+    # negated <= so that an overflowing count (an infinite norm) fails
+    if not counts.sum() <= MAX_STATE_ENTRIES // dim**2:
+        raise StiffnessError(
+            f"one period takes {counts.sum():.3g} Magnus steps, over the "
+            f"{MAX_STATE_ENTRIES // dim**2} allowed for a {dim}x{dim} H; raise rel_tol"
+        )
+    counts = counts.astype(int)
+    ends = np.cumsum(counts)
+    step = np.repeat(widths / counts, counts)
+    # the k-th step of an interval starts k steps past its node
+    within = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    start = np.repeat(nodes[:-1], counts) + step * within
+
+    carry = u[0]
+    for lo in range(0, ends[-1], _CHUNK_STEPS):
+        s = step[lo : lo + _CHUNK_STEPS, None, None]
+        gauss = start[lo : lo + _CHUNK_STEPS, None] + s[:, 0] * _GAUSS_NODES
+        h1, h2 = np.moveaxis(h(gauss.ravel()).reshape(-1, 2, dim, dim), 1, 0)
+        x = 0.5 * s * (h1 + h2) + 1j * _MAGNUS_WEIGHT * s**2 * (_matmul(h1, h2) - _matmul(h2, h1))
+        # prefix[k] is the product of the chunk's first k step exponentials
+        # times carry, by a doubling scan of log2(steps) batched products
+        prefix = np.concatenate([carry[None], _expm_hermitian(x)])
+        shift = 1
+        while shift < prefix.shape[0]:
+            prefix[shift:] = _matmul(prefix[shift:], prefix[:-shift])
+            shift *= 2
+        done = (ends > lo) & (ends <= lo + _CHUNK_STEPS)
+        u[1:][done] = prefix[ends[done] - lo]
+        carry = prefix[-1]
+    return u
+
+
+def _expm_hermitian(x):
+    """exp(-i X) of a stack of Hermitian matrices: the su(2) closed form
+    e^{-i x0} (cos r I - i sin(r)/r (X - x0 I)), with x0 the mean of the
+    diagonal and r the norm of the traceless part, for 2x2, and eigh else."""
+    if x.shape[-1] != 2:
+        w, v = np.linalg.eigh(x)
+        return _matmul(v * np.exp(-1j * w)[..., None, :], np.swapaxes(v, -1, -2).conj())
+    x0 = 0.5 * (x[..., 0, 0].real + x[..., 1, 1].real)
+    z = 0.5 * (x[..., 0, 0].real - x[..., 1, 1].real)
+    r = np.hypot(z, np.abs(x[..., 0, 1]))
+    sinc = np.sinc(r / np.pi)
+    phase = np.exp(-1j * x0)
+    u = np.empty(x.shape, dtype=complex)
+    u[..., 0, 0] = phase * (np.cos(r) - 1j * sinc * z)
+    u[..., 1, 1] = phase * (np.cos(r) + 1j * sinc * z)
+    u[..., 0, 1] = -1j * phase * sinc * x[..., 0, 1]
+    u[..., 1, 0] = -1j * phase * sinc * x[..., 1, 0]
+    return u
+
+
+def _matmul(a, b):
+    """a @ b for stacks of small matrices, summed one column of a at a time;
+    numpy's matmul loops over the stack and is several times slower."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j : j + 1] * b[..., j : j + 1, :]
+    return out
 
 
 def _initial_state(psi0):
@@ -175,11 +298,11 @@ def _series(ts, states, cfg):
 
 
 def _propagate(h, y0, grid, cfg):
-    """Solve i dy/dt = H(t) y from y(grid[0]) = y0 and return y at every grid
-    point; y0 is a (dim,) state or a (dim, dim) matrix."""
+    """Solve i dy/dt = H(t) y from the state y(grid[0]) = y0 and return y at
+    every grid point."""
     # a one-point grid takes no step, and solve_ivp rejects an empty interval
     if cfg.method == "rk4-fixed" or grid.size == 1:
-        out = np.empty((grid.size, *y0.shape), dtype=complex)
+        out = np.empty((grid.size, y0.size), dtype=complex)
         out[0] = y = y0
         for i in range(1, grid.size):
             y = _rk4_step(h, grid[i - 1], y, grid[i] - grid[i - 1])
@@ -187,18 +310,16 @@ def _propagate(h, y0, grid, cfg):
         return out
 
     # imported here: scipy.integrate takes longer to import than most runs
-    # take to solve, and only the ODE pathways need it
+    # take to solve, and only this oracle and the Riccati route need it
     from scipy.integrate import solve_ivp
 
-    shape = y0.shape
-
     def rhs(t, y):
-        return (-1j * (h(t) @ y.reshape(shape))).ravel()
+        return -1j * (h(t) @ y)
 
     sol = solve_ivp(
         rhs,
         (grid[0], grid[-1]),
-        y0.ravel(),
+        y0,
         method="RK45",
         rtol=cfg.rel_tol,
         atol=cfg.abs_tol,
@@ -207,7 +328,7 @@ def _propagate(h, y0, grid, cfg):
     )
     if sol.status != 0:
         raise StiffnessError(f"adaptive integration failed: {sol.message}")
-    return sol.y.T.reshape(grid.size, *shape)
+    return sol.y.T
 
 
 def observable_series(ts, obs):

@@ -161,14 +161,20 @@ def is_unitary(m, tol=1e-10):
 
 def normalize(v):
     """Return v / ||v||, rejecting zero or non-finite vectors and vectors
-    whose norm overflows."""
+    whose norm overflows. A non-zero vector whose norm underflows to 0 is
+    first divided by its largest modulus."""
     v = np.asarray(v, dtype=complex)
     if not np.all(np.isfinite(v)):
         raise ValueError("state vector has non-finite entries")
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(v)
     if norm == 0:
-        raise ValueError("cannot normalize a zero vector")
+        largest = np.abs(v).max(initial=0.0)
+        if largest == 0:
+            raise ValueError("cannot normalize a zero vector")
+        # by parts: a complex quotient takes 1 / largest, which overflows
+        v = v.real / largest + 1j * (v.imag / largest)
+        norm = np.linalg.norm(v)
     if np.isinf(norm):
         raise ValueError("the norm of the state vector overflows")
     return v / norm

@@ -22,7 +22,13 @@ import yaml
 from . import __version__
 from .errors import ScenarioError, SimulationError
 from .fock import top_level_population
-from .integrator import IntegratorConfig, TimeSeries, propagate_periodic, sample_grid
+from .integrator import (
+    MAX_STATE_ENTRIES,
+    IntegratorConfig,
+    TimeSeries,
+    propagate_periodic,
+    sample_grid,
+)
 from .linalg import normalize
 from .quantum import (
     JCParams,
@@ -53,14 +59,14 @@ __all__ = [
 @dataclass(frozen=True)
 class ModelSpec:
     """One solver pathway: its params dataclass, its observable columns, the
-    model `sweep` compares it against, the `# solver:` header label (None
-    for the configured integrator method) and `solve(scenario, psi0,
-    t_final)`, which returns the trajectory as a TimeSeries."""
+    model `sweep` compares it against, the `# solver:` header label and
+    `solve(scenario, psi0, t_final)`, which returns the trajectory as a
+    TimeSeries."""
 
     params: type
     observables: tuple
     partner: str
-    solver: str | None
+    solver: str
     solve: Callable
 
 
@@ -74,7 +80,7 @@ MODELS = {
     "semiclassical-full": ModelSpec(
         **_DRIVE,
         partner="semiclassical-rwa",
-        solver=None,
+        solver="magnus4-floquet",
         solve=lambda s, psi0, t: propagate_periodic(
             partial(hamiltonian_full, p=s.params),
             2.0 * np.pi / s.params.omega,
@@ -126,10 +132,9 @@ PARTNER_MODEL = {name: spec.partner for name, spec in MODELS.items()}
 SUMMARY = ("max_pop_dev", "mean_pop_dev", "t_of_max_dev", "min_fidelity", "peak_p1_a", "peak_p1_b")
 
 # Size caps checked at parse time, so that no scenario asks for an unbounded
-# allocation: the Fock truncation, and the complex entries of one trajectory
-# (samples times the joint state dimension; 2**22 entries are 64 MiB).
+# allocation: the Fock truncation, and MAX_STATE_ENTRIES complex entries of
+# one trajectory (samples times the joint state dimension).
 MAX_DIM = 2048
-MAX_STATE_ENTRIES = 2**22
 
 
 def _as_float(value, field_path):
@@ -562,7 +567,7 @@ def write_timeseries(result, path, extra_meta=None):
         "# rwasim-timeseries v1",
         f"# scenario: {json.dumps(scenario.to_dict(), sort_keys=True)}",
         f"# config-hash: {scenario.config_hash()}",
-        f"# solver: {MODELS[scenario.model].solver or scenario.integrator.method}",
+        f"# solver: {MODELS[scenario.model].solver}",
         f"# versions: {_versions_line()}",
         f"# flags: {','.join(sorted(result.flags)) if result.flags else '-'}",
     ]

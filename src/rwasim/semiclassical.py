@@ -66,9 +66,16 @@ class DriveParams:
 
 
 def hamiltonian_full(t, p):
-    """H(t) = -(delta/2) sigma_3 + 2 g cos(omega t + phi) sigma_1."""
-    c = 2.0 * p.g * math.cos(p.omega * t + p.phi)
-    return np.array([[-0.5 * p.delta, c], [c, 0.5 * p.delta]], dtype=complex)
+    """H(t) = -(delta/2) sigma_3 + 2 g cos(omega t + phi) sigma_1.
+
+    `t` may be an array of times; H then has shape t.shape + (2, 2).
+    """
+    c = 2.0 * p.g * np.cos(p.omega * np.asarray(t, dtype=float) + p.phi)
+    h = np.empty((*c.shape, 2, 2), dtype=complex)
+    h[..., 0, 0] = -0.5 * p.delta
+    h[..., 1, 1] = 0.5 * p.delta
+    h[..., 0, 1] = h[..., 1, 0] = c
+    return h
 
 
 def hamiltonian_rwa(t, p):

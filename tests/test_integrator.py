@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rwasim import integrator
 from rwasim.errors import ModelError
 from rwasim.integrator import (
     IntegratorConfig,
@@ -160,9 +161,8 @@ def test_full_vs_rwa_population_difference_small_coupling():
     assert dev == pytest.approx(RWA_DEV_G001, rel=1e-3)
 
 
-@pytest.mark.parametrize("periodic", [False, True], ids=["integrate", "propagate_periodic"])
 @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
-def test_renormalize_is_division_by_norm(method, periodic):
+def test_renormalize_is_division_by_norm(method):
     # coarse settings, so that the norm visibly drifts without renormalizing
     p = DriveParams(delta=1.2, g=0.3, omega=1.0, phi=0.4)
 
@@ -170,10 +170,7 @@ def test_renormalize_is_division_by_norm(method, periodic):
         cfg = IntegratorConfig(
             method=method, dt=0.5, rel_tol=1e-4, abs_tol=1e-6, renormalize=renormalize
         )
-        h = lambda t: hamiltonian_full(t, p)  # noqa: E731
-        if periodic:
-            return propagate_periodic(h, 2 * np.pi, KET0, sample_grid(0.0, 20.0, 0.5), cfg)
-        return integrate(h, KET0, 0.0, 20.0, cfg)
+        return integrate(lambda t: hamiltonian_full(t, p), KET0, 0.0, 20.0, cfg)
 
     ref, ts = run(False), run(True)
     assert np.abs(ref.norms - 1.0).max() > 1e-6
@@ -211,6 +208,25 @@ class TestPropagatePeriodic:
         assert np.abs(floquet.states - direct.states).max() < 1e-10
         assert not floquet.flags
 
+    def test_samples_periods_apart_match_integrate(self):
+        # dt 7.3 skips whole periods, which binary powers of U(T) cover
+        floquet, direct = self.both(self.P, 40.5 * 2 * np.pi, IntegratorConfig(dt=7.3))
+        assert np.abs(floquet.states - direct.states).max() < 1e-10
+
+    def test_three_levels_match_integrate(self):
+        # a driven spin 1: the step exponentials come from eigh, not the 2x2 form
+        jx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / np.sqrt(2)
+        jz = np.diag([1.0, 0.0, -1.0]).astype(complex)
+
+        def h(t):
+            return 1.3 * jz + 0.4 * np.multiply.outer(np.cos(np.asarray(t) + 0.7), jx)
+
+        psi0 = np.array([0.6, 0.8j, 0.0])
+        times = sample_grid(0.0, 5.5 * 2 * np.pi, 0.1)
+        floquet = propagate_periodic(h, 2 * np.pi, psi0, times, self.TIGHT)
+        direct = integrate(h, psi0, 0.0, times[-1], self.TIGHT)
+        assert np.abs(floquet.states - direct.states).max() < 1e-10
+
     def test_shorter_than_one_period(self):
         floquet, direct = self.both(self.P, 0.7 * 2 * np.pi, self.TIGHT)
         assert np.abs(floquet.states - direct.states).max() < 1e-12
@@ -219,7 +235,7 @@ class TestPropagatePeriodic:
         seen = []
 
         def h(t):
-            seen.append(t)
+            seen.append(np.max(t))
             return hamiltonian_full(t, self.P)
 
         t_final = 0.7 * 2 * np.pi
@@ -232,17 +248,44 @@ class TestPropagatePeriodic:
         floquet, direct = self.both(p, 12.0, self.TIGHT)
         assert np.abs(floquet.states - direct.states).max() < 1e-10
 
-    def test_rk4_steps_are_at_most_dt(self):
-        # a fine-step oracle on a grid that contains every sample time
-        cfg = IntegratorConfig(method="rk4-fixed", dt=0.1)
+    @staticmethod
+    def recorded(p, times, cfg):
+        """The arrays of times propagate_periodic evaluates H at."""
+        seen = []
+
+        def h(t):
+            seen.append(np.array(t))
+            return hamiltonian_full(t, p)
+
+        propagate_periodic(h, 2 * np.pi / p.omega, KET0, times, cfg)
+        return seen
+
+    def test_steps_are_at_most_the_tolerance_step(self):
+        # rel_tol 1e-8 allows steps of 0.01 / max ||H||, below the sample spacing
+        cfg = IntegratorConfig(dt=0.1, rel_tol=1e-8)
+        times = sample_grid(0.0, 0.7 * 2 * np.pi, cfg.dt)
+        nodes, gauss = self.recorded(self.P, times, cfg)
+        np.testing.assert_allclose(nodes, times, rtol=0, atol=1e-12)
+        longest = 1e-2 / np.abs(np.linalg.eigvalsh(hamiltonian_full(nodes, self.P))).max()
+        # two Gauss points per step, sqrt(3)/3 of a step apart
+        first, second = gauss[0::2], gauss[1::2]
+        steps = (second - first) * np.sqrt(3.0)
+        assert steps.max() <= longest * (1 + 1e-12)
+        assert steps.sum() == pytest.approx(times[-1], rel=1e-12)
+        # every step lies inside one sample interval, split into equal steps
+        interval = np.searchsorted(times, first, side="right") - 1
+        assert np.all(second < times[interval + 1])
+        for k in range(times.size - 1):
+            assert np.ptp(steps[interval == k]) < 1e-15
+
+    def test_coarse_tolerance_stays_within_the_fine_step_oracle(self):
+        # rel_tol 1e-4 allows steps up to about 0.19, so each sample interval
+        # is one step; the fine-step oracle has every sample time on its grid
+        cfg = IntegratorConfig(dt=0.1, rel_tol=1e-4)
         fine = IntegratorConfig(method="rk4-fixed", dt=0.1 / 16)
         floquet, direct = self.both(self.P, 10.0 * 2 * np.pi, cfg, fine)
-        oracle = direct.states[::16]
         np.testing.assert_allclose(direct.times[::16], floquet.times[:-1], rtol=0, atol=1e-12)
-        assert np.abs(floquet.states[:-1] - oracle).max() < 1e-8
-        # a direct rk4-fixed run with the same dt is three orders of magnitude worse
-        coarse = integrate(self.h(self.P), _superposition(3), 0.0, 10.0 * 2 * np.pi, cfg)
-        assert np.abs(coarse.states[:-1] - oracle).max() > 1e-7
+        assert np.abs(floquet.states[:-1] - direct.states[::16]).max() < 1e-8
 
     def test_single_sample_is_the_initial_state(self):
         psi0 = _superposition(4)
@@ -254,24 +297,69 @@ class TestPropagatePeriodic:
             propagate_periodic(self.h(self.P), 2 * np.pi, KET0, np.array([-1.0, 0.0]), self.TIGHT)
 
     def test_rejects_non_hermitian_hamiltonian(self):
-        with pytest.raises(ModelError):
-            times = sample_grid(0.0, 3.0, 0.1)
-            propagate_periodic(lambda t: pauli("+"), 1.0, KET0, times, self.TIGHT)
+        def h(t):
+            return np.broadcast_to(pauli("+"), (*np.shape(t), 2, 2))
+
+        with pytest.raises(ModelError, match="not Hermitian"):
+            propagate_periodic(h, 1.0, KET0, sample_grid(0.0, 3.0, 0.1), self.TIGHT)
+
+    def test_rejects_a_hamiltonian_of_one_time(self):
+        times = sample_grid(0.0, 3.0, 0.1)
+        with pytest.raises(ModelError, match="shape"):
+            propagate_periodic(lambda t: pauli(3), 1.0, KET0, times, self.TIGHT)
 
     def test_effort_does_not_grow_with_the_number_of_periods(self):
-        def h_evals(periods):
-            count = 0
-
-            def h(t):
-                nonlocal count
-                count += 1
-                return hamiltonian_full(t, self.P)
-
+        def steps(periods):
             times = sample_grid(0.0, periods * 2 * np.pi, 0.1)
-            propagate_periodic(h, 2 * np.pi, KET0, times, self.TIGHT)
-            return count
+            # the first evaluation is on the sample phases, the rest at two
+            # Gauss points per step
+            return sum(t.size for t in self.recorded(self.P, times, self.TIGHT)[1:]) // 2
 
-        assert h_evals(40) <= 1.5 * h_evals(1)
+        assert steps(40) <= 1.5 * steps(1)
+
+    def test_error_falls_as_the_fourth_power_of_the_step(self):
+        # the step is rel_tol**0.25 / max ||H||, so rel_tol / 16 halves it; on
+        # a grid of half periods the step, not the sample spacing, sets it
+        period = 2 * np.pi
+        times = sample_grid(0.0, 10 * period, period / 2)
+        oracle = IntegratorConfig(dt=period / 2, rel_tol=1e-13, abs_tol=1e-15)
+        direct = integrate(self.h(self.P), KET0, 0.0, times[-1], oracle)
+
+        def error(rel_tol):
+            cfg = IntegratorConfig(dt=period / 2, rel_tol=rel_tol)
+            floquet = propagate_periodic(self.h(self.P), period, KET0, times, cfg)
+            return np.abs(floquet.states - direct.states).max()
+
+        assert error(1e-4) >= 10 * error(1e-4 / 16)
+
+    def test_passes_of_few_steps_give_the_same_states(self, monkeypatch):
+        # about 4300 steps a period, taken in passes of 1000 across sample phases
+        times = sample_grid(0.0, 3.5 * 2 * np.pi, 0.1)
+        whole = propagate_periodic(self.h(self.P), 2 * np.pi, KET0, times, self.TIGHT)
+        monkeypatch.setattr(integrator, "_CHUNK_STEPS", 1000)
+        passes = propagate_periodic(self.h(self.P), 2 * np.pi, KET0, times, self.TIGHT)
+        assert np.abs(passes.states - whole.states).max() < 1e-13
+
+    def test_norm_drift_over_forty_periods(self):
+        psi0 = _superposition(5)
+        times = sample_grid(0.0, 40 * 2 * np.pi, 0.1)
+        ts = propagate_periodic(self.h(self.P), 2 * np.pi, psi0, times, self.TIGHT)
+        assert np.abs(ts.norms - 1.0).max() <= 1e-11
+
+    def test_renormalize_is_division_by_norm(self):
+        # Magnus steps are unitary: even at a coarse rel_tol the norm drifts
+        # by round-off only, and renormalizing divides by that norm
+        p = DriveParams(delta=1.2, g=0.3, omega=1.0, phi=0.4)
+
+        def run(renormalize):
+            cfg = IntegratorConfig(dt=0.5, rel_tol=1e-4, renormalize=renormalize)
+            return propagate_periodic(self.h(p), 2 * np.pi, KET0, sample_grid(0.0, 20.0, 0.5), cfg)
+
+        ref, ts = run(False), run(True)
+        assert np.abs(ref.norms - 1.0).max() < 1e-12
+        assert ts.flags == {"renormalized"}
+        assert np.abs(ts.norms - 1.0).max() < 1e-14
+        assert np.abs(ts.states - ref.states / ref.norms[:, None]).max() < 1e-10
 
 
 class TestValidation:

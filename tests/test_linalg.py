@@ -238,6 +238,11 @@ class TestNormalize:
     def test_unit_norm(self):
         assert np.linalg.norm(normalize(np.array([3.0, 4.0j]))) == pytest.approx(1.0)
 
+    def test_underflowing_norm(self):
+        # the sum of squares of two subnormal entries is 0.0
+        unit = normalize(np.array([1e-320, 1e-320]))
+        np.testing.assert_allclose(unit, [1 / np.sqrt(2), 1 / np.sqrt(2)], rtol=1e-15)
+
     @pytest.mark.parametrize(
         "vector,message",
         [

@@ -238,12 +238,12 @@ class TestRoundTrip:
     @pytest.mark.parametrize(
         "spec,solver",
         [
-            (base_semiclassical(model="semiclassical-full", t_final=2.0), "rk45-adaptive"),
+            (base_semiclassical(model="semiclassical-full", t_final=2.0), "magnus4-floquet"),
             (
                 base_semiclassical(
                     model="semiclassical-full", t_final=2.0, integrator={"method": "rk4-fixed"}
                 ),
-                "rk4-fixed",
+                "magnus4-floquet",
             ),
             (base_quantum(model="quantum-rabi", t_final=2.0), "spectral"),
             (base_quantum(t_final=2.0), "spectral"),
@@ -555,6 +555,33 @@ class TestCli:
         assert "solver error:" in capsys.readouterr().err
         assert not (tmp_path / "scenario.csv").exists()
 
+    @pytest.mark.parametrize("g", [1.0e4, 1.0e200])
+    def test_huge_coupling_is_a_prompt_solver_error(self, tmp_path, g):
+        # one drive period would take over 1e8 Magnus steps; the step count is
+        # known and capped before any is taken
+        spec = base_semiclassical(
+            model="semiclassical-full", params={"delta": 1.0, "g": g, "omega": 1.0}, t_final=10.0
+        )
+        path = self.write_scenario(tmp_path, spec)
+        proc = _run_cli_in_subprocess(["run", str(path), "--out", str(tmp_path)], timeout=10)
+        assert proc.returncode == cli.EXIT_SOLVER
+        assert "solver error: one period takes" in proc.stderr
+        assert not (tmp_path / "scenario.csv").exists()
+
+    def test_ten_billion_drive_periods_run_promptly(self, tmp_path):
+        # the Floquet powers are taken by squaring, not one period at a time
+        spec = base_semiclassical(
+            model="semiclassical-full",
+            params={"delta": 1.0, "g": 0.1, "omega": 1.0e10},
+            t_final=10.0,
+            dt=0.1,
+        )
+        path = self.write_scenario(tmp_path, spec)
+        proc = _run_cli_in_subprocess(["run", str(path), "--out", str(tmp_path)], timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        _, table = load_table(tmp_path / "scenario.csv")
+        assert np.abs(table[:, -1] - 1.0).max() < 1e-6
+
     @pytest.mark.parametrize(
         "changes,message",
         [
@@ -618,13 +645,37 @@ def test_load_scenario_file_yaml(tmp_path):
     assert load_scenario_file(path).model == "semiclassical-rwa"
 
 
-def test_cli_import_skips_scipy_integrate():
-    # spectral and closed-form runs must not pay for importing the ODE solvers
+def _run_in_subprocess(code, timeout=None):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, rwasim.cli; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+def _run_cli_in_subprocess(argv, timeout=None):
+    return _run_in_subprocess(
+        f"from rwasim import cli; raise SystemExit(cli.main({argv!r}))", timeout=timeout
+    )
+
+
+def test_cli_import_skips_scipy_integrate():
+    # spectral and closed-form runs must not pay for importing the ODE solvers
+    proc = _run_in_subprocess("import sys, rwasim.cli; print('scipy.integrate' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["run"], ["sweep", "--param", "g", "--values", "0.2,0.1"]],
+    ids=["run", "sweep"],
+)
+def test_semiclassical_full_skips_scipy_integrate(tmp_path, args):
+    # the Magnus path, and the closed form that sweep compares it against
+    argv = [args[0], str(SCENARIOS / "rabi_full.yaml"), *args[1:], "--out", str(tmp_path)]
+    code = f"import sys\nfrom rwasim import cli\nassert cli.main({argv!r}) == 0\n"
+    proc = _run_in_subprocess(code + "print('scipy.integrate' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -51,6 +51,14 @@ class TestHamiltonians:
             hamiltonian_full(0.0, p), np.array([[-0.5, 0.4], [0.4, 0.5]])
         )
 
+    def test_full_broadcasts_over_times(self):
+        p = DriveParams(delta=1.3, g=0.2, omega=1.1, phi=0.7)
+        times = np.linspace(0.0, 9.0, 12).reshape(3, 4)
+        stack = hamiltonian_full(times, p)
+        assert stack.shape == (3, 4, 2, 2)
+        for index in np.ndindex(times.shape):
+            np.testing.assert_array_equal(stack[index], hamiltonian_full(float(times[index]), p))
+
     def test_rwa_at_phase_zero(self):
         p = DriveParams(delta=1.0, g=0.2, omega=1.0, phi=0.0)
         assert np.allclose(hamiltonian_rwa(0.0, p), np.array([[-0.5, 0.2], [0.2, 0.5]]))
