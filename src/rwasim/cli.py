@@ -8,6 +8,7 @@ escalated by --strict.
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import RiccatiPoleError, ScenarioError, SimulationError
@@ -28,10 +29,19 @@ EXIT_SOLVER = 3
 EXIT_TRUNCATION = 4
 
 
+@contextmanager
+def _writing(path):
+    """Report an OSError raised in the block as a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {path}: {exc}") from None
+
+
 def _out_dir(args):
-    out = args.out or os.environ.get("RWASIM_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.out or os.environ.get("RWASIM_OUT") or ".")
+    with _writing(path):
+        path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -44,11 +54,13 @@ def _cmd_run(args):
         if exc.partial is not None:
             exc.partial.flags.add("riccati_pole")
             partial = attach_observables(scenario, exc.partial)
-            write_timeseries(partial, out, extra_meta={"riccati-pole-time": repr(exc.t_pole)})
+            with _writing(out):
+                write_timeseries(partial, out, extra_meta={"riccati-pole-time": repr(exc.t_pole)})
             print(f"wrote partial trajectory to {out}", file=sys.stderr)
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    write_timeseries(result, out)
+    with _writing(out):
+        write_timeseries(result, out)
     print(out)
     if args.strict and "truncation_suspect" in result.flags:
         print("truncation_suspect flag raised (strict mode)", file=sys.stderr)
@@ -61,7 +73,8 @@ def _cmd_compare(args):
         load_scenario_file(args.scenario_a), load_scenario_file(args.scenario_b)
     )
     out = _out_dir(args) / f"{Path(args.scenario_a).stem}__vs__{Path(args.scenario_b).stem}.csv"
-    write_comparison(report, out)
+    with _writing(out):
+        write_comparison(report, out)
     print(out)
     return EXIT_OK
 
@@ -76,7 +89,8 @@ def _cmd_sweep(args):
         raise ScenarioError("--values is empty")
     rows = sweep_scenario(scenario, args.param, values)
     out = _out_dir(args) / f"{Path(args.scenario).stem}__sweep__{args.param}.csv"
-    write_sweep(rows, out)
+    with _writing(out):
+        write_sweep(rows, out)
     print(out)
     return EXIT_OK
 

@@ -10,7 +10,8 @@ class ModelError(SimulationError):
 
 
 class StiffnessError(SimulationError):
-    """Adaptive step control underflowed; the problem is too stiff as configured."""
+    """Adaptive step control failed, or a solve needs more steps than its
+    budget allows; the problem is too stiff as configured."""
 
 
 class RiccatiPoleError(SimulationError):

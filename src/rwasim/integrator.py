@@ -79,7 +79,7 @@ class TimeSeries:
 
     times: np.ndarray
     states: np.ndarray
-    norms: np.ndarray
+    norms: np.ndarray = None  # the norm of each state row, if not given
     flags: set = field(default_factory=set)
 
     def __post_init__(self):
@@ -87,6 +87,8 @@ class TimeSeries:
             raise ValueError("times must be strictly increasing")
         if self.states.shape[0] != self.times.shape[0]:
             raise ValueError("one state per sample required")
+        if self.norms is None:
+            self.norms = np.linalg.norm(self.states, axis=1)
 
 
 def sample_grid(t0, t1, dt):
@@ -141,10 +143,33 @@ def integrate(h_of_t, psi0, t0, t1, cfg):
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
     ts = sample_grid(t0, t1, cfg.dt)
-    # one fixed step per sample interval for rk4-fixed; the grid spacing is
-    # cfg.dt except possibly a short final interval
-    states = _propagate(_checked_h(h_of_t, psi.size), psi, ts, cfg)
-    return _series(ts, states, cfg)
+    h = _checked_h(h_of_t, psi.size)
+    # one fixed step per sample interval for rk4-fixed, the grid spacing
+    # being cfg.dt except possibly a short final interval; a one-point grid
+    # takes no step, and solve_ivp rejects an empty interval
+    if cfg.method == "rk4-fixed" or ts.size == 1:
+        states = np.empty((ts.size, psi.size), dtype=complex)
+        states[0] = psi
+        for i in range(1, ts.size):
+            states[i] = _rk4_step(h, ts[i - 1], states[i - 1], ts[i] - ts[i - 1])
+        return _series(ts, states, cfg)
+
+    # imported here: scipy.integrate takes longer to import than most runs
+    # take to solve, and only this oracle and the Riccati route need it
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(
+        lambda t, y: -1j * (h(t) @ y),
+        (ts[0], ts[-1]),
+        psi,
+        method="RK45",
+        rtol=cfg.rel_tol,
+        atol=cfg.abs_tol,
+        t_eval=ts,
+    )
+    if sol.status != 0:
+        raise StiffnessError(f"adaptive integration failed: {sol.message}")
+    return _series(ts, sol.y.T, cfg)
 
 
 def propagate_periodic(h_of_t, period, psi0, times, cfg):
@@ -178,19 +203,13 @@ def propagate_periodic(h_of_t, period, psi0, times, cfg):
         phases = np.append(phases, period)
     fundamental = _magnus(_checked_h(h_of_t, psi.size), phases, cfg.rel_tol)
 
-    # M^n psi0 for each distinct n, each from the one before by binary powers
-    # of M over the gap, so the work grows with the samples and log n only
+    # M^n psi0 for each distinct n, each from the one before by the power of
+    # M over the gap, so the work grows with the samples and log n only
     periods, which = np.unique(n, return_inverse=True)
     powers = np.empty((periods.size, psi.size), dtype=complex)
     state, reached = psi, 0
     for k, target in enumerate(periods):
-        gap, power = target - reached, fundamental[-1]
-        while gap:
-            if gap & 1:
-                state = power @ state
-            gap >>= 1
-            if gap:
-                power = power @ power
+        state = np.linalg.matrix_power(fundamental[-1], target - reached) @ state
         powers[k], reached = state, target
     states = np.einsum("kij,kj->ki", fundamental[index], powers[which])
     return _series(times.copy(), states, cfg)
@@ -286,49 +305,12 @@ def _initial_state(psi0):
 
 
 def _series(ts, states, cfg):
+    if not cfg.renormalize:
+        return TimeSeries(ts, states)
     # the equation is linear, so dividing each sample by its norm gives the
     # states that renormalizing and carrying the state on would give
-    norms = np.linalg.norm(states, axis=1)
-    flags = set()
-    if cfg.renormalize:
-        flags.add("renormalized")
-        states = states / norms[:, None]
-        norms = np.linalg.norm(states, axis=1)
-    return TimeSeries(times=ts, states=states, norms=norms, flags=flags)
-
-
-def _propagate(h, y0, grid, cfg):
-    """Solve i dy/dt = H(t) y from the state y(grid[0]) = y0 and return y at
-    every grid point."""
-    # a one-point grid takes no step, and solve_ivp rejects an empty interval
-    if cfg.method == "rk4-fixed" or grid.size == 1:
-        out = np.empty((grid.size, y0.size), dtype=complex)
-        out[0] = y = y0
-        for i in range(1, grid.size):
-            y = _rk4_step(h, grid[i - 1], y, grid[i] - grid[i - 1])
-            out[i] = y
-        return out
-
-    # imported here: scipy.integrate takes longer to import than most runs
-    # take to solve, and only this oracle and the Riccati route need it
-    from scipy.integrate import solve_ivp
-
-    def rhs(t, y):
-        return -1j * (h(t) @ y)
-
-    sol = solve_ivp(
-        rhs,
-        (grid[0], grid[-1]),
-        y0,
-        method="RK45",
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        t_eval=grid,
-        dense_output=False,
-    )
-    if sol.status != 0:
-        raise StiffnessError(f"adaptive integration failed: {sol.message}")
-    return sol.y.T
+    states = states / np.linalg.norm(states, axis=1)[:, None]
+    return TimeSeries(ts, states, flags={"renormalized"})
 
 
 def observable_series(ts, obs):

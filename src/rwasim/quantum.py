@@ -8,11 +8,15 @@ the vacuum oscillation cos(gt) (1,0)|0> - i sin(gt) (0,1)|1>.
 Closed-form propagators are evaluated by applying scalar functions to the
 diagonal operators a a_dag and a_dag a of the truncation, which keeps them
 equal to the true matrix exponential on the truncated space (including the
-boundary Fock level, where a a_dag differs from N + 1).
+boundary Fock level, where a a_dag differs from N + 1). simulate_jc_analytic
+applies the closed form with the ladder operators as weighted shifts, building
+no D x D matrix, so a run costs O(samples * D).
 
-Both Hamiltonians are time independent, so the simulators propagate them
-spectrally from one eigendecomposition. The RK45 integrator of
-rwasim.integrator shares no code with that route and serves as its oracle.
+The quantum Rabi Hamiltonian is the Jaynes-Cummings one plus the
+counter-rotating pair g (sigma_+ (x) a_dag + sigma_- (x) a). Both are time
+independent, so the simulators propagate them spectrally from one
+eigendecomposition. The RK45 integrator of rwasim.integrator shares no code
+with that route and serves as its oracle.
 """
 
 from dataclasses import dataclass
@@ -69,15 +73,12 @@ class JCParams:
 def hamiltonian_quantum_rabi(p):
     """(Omega/2) sigma_3 (x) 1 + omega 1 (x) N + g (sigma_+ + sigma_-) (x) (a + a_dag).
 
-    Contains the counter-rotating couplings sigma_+ (x) a_dag and
-    sigma_- (x) a that the Jaynes-Cummings reduction drops.
+    That is the Jaynes-Cummings Hamiltonian plus the counter-rotating
+    couplings g (sigma_+ (x) a_dag + sigma_- (x) a) that its reduction drops.
     """
     ops = ladder_ops(p.dim)
-    eye_d = np.eye(p.dim, dtype=complex)
-    return (
-        0.5 * p.big_omega * tensor_product(pauli(3), eye_d)
-        + p.omega * tensor_product(pauli("I"), ops.n_op)
-        + p.g * tensor_product(pauli("+") + pauli("-"), ops.a + ops.a_dag)
+    return hamiltonian_jc(p) + p.g * (
+        tensor_product(pauli("+"), ops.a_dag) + tensor_product(pauli("-"), ops.a)
     )
 
 
@@ -100,9 +101,8 @@ def hamiltonian_jc(p):
 
 def excitation_operator(dim):
     """sigma_3/2 (x) 1 + 1 (x) N; conserved by the Jaynes-Cummings dynamics."""
-    ops = ladder_ops(dim)
     eye_d = np.eye(dim, dtype=complex)
-    return 0.5 * tensor_product(pauli(3), eye_d) + tensor_product(pauli("I"), ops.n_op)
+    return 0.5 * tensor_product(pauli(3), eye_d) + photon_number_operator(dim)
 
 
 def atom_projector(slot, dim):
@@ -145,13 +145,14 @@ def _sin_sqrt_over_sqrt(x, t):
     return np.where(r == 0, t, np.sin(t * r) / safe)
 
 
-def _jc_block_diagonals(t, p, ops):
+def _jc_block_diagonals(t, p):
     """Diagonals (d_00, d_11, s_up, s_dn) of the rotating-frame propagator
     e^{-itB}, whose blocks are diag(d_00), -i g diag(s_up) a,
     -i g diag(s_dn) a_dag and diag(d_11). A column of times gives one row of
     each diagonal per time."""
     delta = p.detuning
-    diag_up = np.real(np.diag(ops.a @ ops.a_dag))  # (1, 2, ..., D-1, 0)
+    root = np.sqrt(np.arange(1, p.dim, dtype=float))
+    diag_up = np.append(root * root, 0.0)  # a a_dag: sqrt(n)**2 (as a @ a_dag holds it), 0
     diag_dn = np.arange(p.dim, dtype=float)
     phi_up = 0.25 * delta**2 + p.g**2 * diag_up
     phi_dn = 0.25 * delta**2 + p.g**2 * diag_dn
@@ -170,7 +171,7 @@ def propagator_jc_detuned(t, p):
     operator; sin(t sqrt(x))/sqrt(x) is continued by its limit t at x = 0.
     """
     ops = ladder_ops(p.dim)
-    d_00, d_11, s_up, s_dn = _jc_block_diagonals(t, p, ops)
+    d_00, d_11, s_up, s_dn = _jc_block_diagonals(t, p)
     block_01 = -1j * p.g * np.diag(s_up) @ ops.a
     block_10 = -1j * p.g * np.diag(s_dn) @ ops.a_dag
     return np.block([[np.diag(d_00), block_01], [block_10, np.diag(d_11)]])
@@ -206,7 +207,7 @@ def _prepare(p, psi0, t_final, dt):
 
 
 def _monitored_series(ts, states, p):
-    series = TimeSeries(times=ts, states=states, norms=np.linalg.norm(states, axis=1))
+    series = TimeSeries(ts, states)
     if top_level_population(states, p.dim).max() > LEAKAGE_THRESHOLD:
         series.flags.add("truncation_suspect")
     return series
@@ -248,25 +249,26 @@ def simulate_jc_analytic(p, psi0, t_final, dt):
     @ psi0 at every sample, with the same truncation-leakage monitoring as
     simulate_quantum_rabi.
 
-    No propagator matrix is built. Each block of the closed form is a
-    diagonal, or a diagonal times one ladder operator, and so is the frame
+    No matrix of the truncation is built. Each block of the closed form is
+    a diagonal, or a diagonal times one ladder operator, and so is the frame
     transform; the diagonals are evaluated for the whole grid at once and
-    applied to psi0 and its shifts a psi0_dn and a_dag psi0_up, which costs
-    O(samples * dim).
+    applied to psi0 and its shifts a psi0_dn and a_dag psi0_up, taken as
+    (a x)_n = sqrt(n+1) x_{n+1} and (a_dag x)_n = sqrt(n) x_{n-1}. The cost
+    is O(samples * dim).
     """
     psi0, ts = _prepare(p, psi0, t_final, dt)
-    ops = ladder_ops(p.dim)
     col = ts[:, None]
-    d_00, d_11, s_up, s_dn = _jc_block_diagonals(col, p, ops)
+    d_00, d_11, s_up, s_dn = _jc_block_diagonals(col, p)
     up, dn = psi0[: p.dim], psi0[p.dim :]
+    root = np.sqrt(np.arange(1, p.dim, dtype=float))
     n = np.arange(p.dim, dtype=float)
     # U(t)^{-1} = diag(e^{-it(omega N + omega/2)}, e^{-it(omega N - omega/2)})
     frame_up = np.exp(-1j * col * (p.omega * n + 0.5 * p.omega))
     frame_dn = np.exp(-1j * col * (p.omega * n - 0.5 * p.omega))
     states = np.concatenate(
         [
-            frame_up * (d_00 * up - 1j * p.g * s_up * (ops.a @ dn)),
-            frame_dn * (d_11 * dn - 1j * p.g * s_dn * (ops.a_dag @ up)),
+            frame_up * (d_00 * up - 1j * p.g * s_up * np.append(root * dn[1:], 0.0)),
+            frame_dn * (d_11 * dn - 1j * p.g * s_dn * np.insert(root * up[:-1], 0, 0.0)),
         ],
         axis=1,
     )

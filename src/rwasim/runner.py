@@ -533,8 +533,8 @@ def sweep_scenario(base, param, values):
 def load_scenario_file(path):
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from None
     try:
         # libyaml's safe loader where PyYAML was built with it: same mappings, ~5x faster

@@ -11,13 +11,14 @@ psi(0) whose F obeys a Riccati equation and captures the dynamics beyond the
 rotating-wave approximation.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RiccatiPoleError, StiffnessError
-from .integrator import TimeSeries, sample_grid
+from .integrator import MAX_STATE_ENTRIES, TimeSeries, sample_grid
 from .linalg import RESONANCE_TOL, normalize
 
 __all__ = [
@@ -180,12 +181,7 @@ def propagate_rwa_exact(p, psi0, times):
     rot = np.cos(x)[:, None] * phi0 - 1j * sinc[:, None] * (rotating_frame_generator(p) @ phi0)
     lo, hi = _frame_phases(times, p)
     states = np.column_stack([hi * rot[:, 0], lo * rot[:, 1]])
-    return TimeSeries(
-        times=times.copy(),
-        states=states,
-        norms=np.linalg.norm(states, axis=1),
-        flags=set(),
-    )
+    return TimeSeries(times.copy(), states)
 
 
 @dataclass(frozen=True)
@@ -261,7 +257,9 @@ def solve_beyond_rwa(
 
     The integration halts at a Riccati pole: RiccatiPoleError is raised with
     the pole time and the trajectory accumulated so far attached. A failure
-    of the step control before either guard fired raises StiffnessError.
+    of the step control before either guard fired raises StiffnessError, and
+    so does a solve that needs more than MAX_STATE_ENTRIES evaluations of
+    the right-hand side.
     """
     from scipy.integrate import solve_ivp  # deferred, as in rwasim.integrator
 
@@ -269,7 +267,14 @@ def solve_beyond_rwa(
         raise ValueError("dt must be positive")
     psi0 = normalize(psi0)
 
+    evals = itertools.count(1)
+
     def rhs(t, y):
+        if next(evals) > MAX_STATE_ENTRIES:
+            raise StiffnessError(
+                f"the Riccati solve needs over {MAX_STATE_ENTRIES} right-hand-side "
+                "evaluations; lower g or t_final, or raise rel_tol"
+            )
         return np.array(_riccati_field(t, y[0], y[1], p))
 
     # the guards of riccati_rhs, run as terminal events so the step
@@ -293,16 +298,8 @@ def solve_beyond_rwa(
         # both guards are terminal events, so a failed run is no pole
         raise StiffnessError(f"adaptive integration failed: {sol.message}")
 
-    states = np.empty((sol.t.size, 2), dtype=complex)
-    for i in range(sol.t.size):
-        s = DisentangleState(f=sol.y[0, i], g_fun=sol.y[1, i], h=sol.y[2, i])
-        states[i] = reconstruct_disentangled(s) @ psi0
-    series = TimeSeries(
-        times=sol.t.copy(),
-        states=states,
-        norms=np.linalg.norm(states, axis=1),
-        flags=set(),
-    )
+    states = np.array([reconstruct_disentangled(DisentangleState(*y)) @ psi0 for y in sol.y.T])
+    series = TimeSeries(sol.t.copy(), states)
 
     if sol.status == 1:  # a terminal event fired
         which = 0 if sol.t_events[0].size else 1

@@ -406,3 +406,10 @@ def test_timeseries_requires_increasing_times():
             states=np.zeros((2, 2), dtype=complex),
             norms=np.zeros(2),
         )
+
+
+def test_timeseries_derives_row_norms_unless_given():
+    states = np.array([[3.0, 4.0j], [0.0, 2.0], [1.0j, 0.0]])
+    np.testing.assert_array_equal(TimeSeries(np.arange(3.0), states).norms, [5.0, 2.0, 1.0])
+    explicit = np.full(3, 7.0)
+    assert TimeSeries(np.arange(3.0), states, norms=explicit).norms is explicit

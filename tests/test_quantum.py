@@ -224,6 +224,29 @@ class TestLabFrame:
         assert ("truncation_suspect" in vacuum_run.flags) == (dim == 3)
 
 
+    def test_largest_truncation_builds_no_ladder_matrix(self, monkeypatch):
+        # the ladder operators act as shifts: dim 2048 builds no D x D matrix,
+        # and from Fock levels below 5 the run agrees with one at dim 16 on
+        # the levels they share and is exactly 0 above them
+        rng = np.random.default_rng(31)
+        low = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+
+        def run(dim):
+            psi0 = np.zeros((2, dim), dtype=complex)
+            psi0[:, :5] = low
+            p = JCParams(big_omega=1.2, omega=1.0, g=0.3, dim=dim)
+            return simulate_jc_analytic(p, psi0.ravel(), 1.0, 0.25).states.reshape(-1, 2, dim)
+
+        small = run(16)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ladder_ops called")
+
+        monkeypatch.setattr(quantum, "ladder_ops", refuse)
+        big = run(2048)
+        np.testing.assert_allclose(big[:, :, :16], small, rtol=0, atol=1e-15)
+        assert not big[:, :, 16:].any()
+
     def test_closed_form_writes_no_negative_zero(self):
         # exact zeros of the closed form are 0.0, never -0.0, in every part
         p = JCParams(big_omega=1.3, omega=1.0, g=0.1, dim=6)

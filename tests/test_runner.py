@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from rwasim import cli, runner
+from rwasim import cli, runner, semiclassical
 from rwasim.errors import RiccatiPoleError, ScenarioError
 from rwasim.integrator import IntegratorConfig, TimeSeries, fidelity
 from rwasim.runner import (
@@ -620,6 +620,59 @@ class TestCli:
         path = self.write_scenario(tmp_path, {**spec, **top})
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
         assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "scenario.csv").exists()
+
+    def test_riccati_evaluation_budget_is_a_solver_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(semiclassical, "MAX_STATE_ENTRIES", 1000)
+        spec = base_semiclassical(model="semiclassical-riccati", t_final=50.0)
+        path = self.write_scenario(tmp_path, spec)
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == cli.EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "solver error: the Riccati solve needs over 1000 right-hand-side" in err
+        assert "pole" not in err.lower()
+        assert not (tmp_path / "scenario.csv").exists()
+
+    @pytest.mark.parametrize("from_env", [False, True], ids=["--out", "RWASIM_OUT"])
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_output_directory_that_is_a_file_is_config_error(self, tmp_path, from_env, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "sub" if under else blocker
+        path = self.write_scenario(tmp_path, base_semiclassical(t_final=2.0))
+        argv = ["run", str(path)]
+        if from_env:
+            proc = _run_in_subprocess(
+                f"import os\nos.environ['RWASIM_OUT'] = {str(out)!r}\n"
+                f"from rwasim import cli\nraise SystemExit(cli.main({argv!r}))"
+            )
+        else:
+            proc = _run_cli_in_subprocess(argv + ["--out", str(out)])
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert f"config error: cannot write {out}: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+    def test_unwritable_output_file_is_config_error(self, tmp_path, capsys, command):
+        path = self.write_scenario(tmp_path, base_semiclassical(t_final=2.0))
+        argv = {
+            "run": ["run", str(path)],
+            "compare": ["compare", str(path), str(path)],
+            "sweep": ["sweep", str(path), "--param", "g", "--values", "0.1"],
+        }[command]
+        name = {"run": "scenario.csv", "compare": "scenario__vs__scenario.csv"}
+        target = tmp_path / "out" / name.get(command, "scenario__sweep__g.csv")
+        target.mkdir(parents=True)  # a directory where the file should go
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert f"config error: cannot write {target}: " in capsys.readouterr().err
+
+    def test_non_utf8_scenario_file_is_config_error(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_bytes(b"\xff\xfe\x00")
+        proc = _run_cli_in_subprocess(["run", str(path), "--out", str(tmp_path)])
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert f"config error: cannot read {path}: " in proc.stderr
+        assert "Traceback" not in proc.stderr
         assert not (tmp_path / "scenario.csv").exists()
 
     def test_largest_truncation_parses(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rwasim import semiclassical
 from rwasim.errors import RiccatiPoleError, StiffnessError
 from rwasim.integrator import IntegratorConfig, fidelity, integrate, sample_grid
 from rwasim.linalg import expm_series, is_hermitian, is_unitary, pauli
@@ -331,6 +332,26 @@ class TestBeyondRwa:
             solve_beyond_rwa(p, 10.0, 0.1, KET0)
         assert not isinstance(excinfo.value, RiccatiPoleError)
         assert "adaptive integration failed" in str(excinfo.value)
+        assert "pole" not in str(excinfo.value).lower()
+
+    def test_evaluation_budget_is_a_stiffness_error(self, monkeypatch):
+        # count the evaluations of one solve, then allow exactly that many and
+        # one fewer
+        calls = []
+        field = semiclassical._riccati_field
+        monkeypatch.setattr(
+            semiclassical, "_riccati_field", lambda *args: calls.append(1) or field(*args)
+        )
+        p = DriveParams(delta=1.0, g=0.05, omega=1.0)
+        expected = solve_beyond_rwa(p, 10.0, 0.25, KET0)
+        evals = len(calls)
+        monkeypatch.setattr(semiclassical, "MAX_STATE_ENTRIES", evals)
+        np.testing.assert_array_equal(solve_beyond_rwa(p, 10.0, 0.25, KET0).states, expected.states)
+        monkeypatch.setattr(semiclassical, "MAX_STATE_ENTRIES", evals - 1)
+        with pytest.raises(StiffnessError) as excinfo:
+            solve_beyond_rwa(p, 10.0, 0.25, KET0)
+        assert not isinstance(excinfo.value, RiccatiPoleError)
+        assert f"over {evals - 1} right-hand-side evaluations" in str(excinfo.value)
         assert "pole" not in str(excinfo.value).lower()
 
 
