@@ -185,8 +185,8 @@ def propagate_periodic(h_of_t, period, psi0, times, cfg):
     M = U(T), the powers taken by matrix products (one matrix-vector
     product per period when the samples visit every period), so that a
     non-finite M propagates to the states instead of failing in an
-    eigendecomposition. Same Hermiticity check and TimeSeries contract as
-    `integrate`.
+    eigendecomposition. A sample beyond 2**63 periods is a StiffnessError.
+    Same Hermiticity check and TimeSeries contract as `integrate`.
     """
     psi = _initial_state(psi0)
     if not period > 0:
@@ -195,6 +195,12 @@ def propagate_periodic(h_of_t, period, psi0, times, cfg):
     if not times.size or not times[0] >= 0:
         raise ValueError("times must be non-negative")
     n, tau = np.divmod(times, period)
+    # negated < so that an infinite count fails too
+    if not n.max() < 2.0**63:
+        raise StiffnessError(
+            f"the samples span {n.max():.3g} periods of H, more than an int64 counts; "
+            "lower the final time or the frequency"
+        )
     n = n.astype(int)
     # the phase grid starts at the identity, t = 0
     phases, index = np.unique(np.append(0.0, tau), return_inverse=True)

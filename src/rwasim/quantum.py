@@ -5,12 +5,12 @@ decomposes as slot * D + n. The first atom slot is the one whose bare energy
 is +Omega/2; from (1,0) (x) |0> the Jaynes-Cummings dynamics at resonance is
 the vacuum oscillation cos(gt) (1,0)|0> - i sin(gt) (0,1)|1>.
 
-Closed-form propagators are evaluated by applying scalar functions to the
-diagonal operators a a_dag and a_dag a of the truncation, which keeps them
-equal to the true matrix exponential on the truncated space (including the
-boundary Fock level, where a a_dag differs from N + 1). simulate_jc_analytic
-applies the closed form with the ladder operators as weighted shifts, building
-no D x D matrix, so a run costs O(samples * D).
+The closed form applies scalar functions to the diagonal operators a a_dag
+and a_dag a of the truncation, which keeps it equal to the true matrix
+exponential on the truncated space (including the boundary Fock level, where
+a a_dag differs from N + 1). One kernel applies it along the last axis of a
+state array with the ladder operators as weighted shifts: simulate_jc_analytic
+to psi0 on the whole grid in O(samples * D), the propagators to each basis state.
 
 The quantum Rabi Hamiltonian is the Jaynes-Cummings one plus the
 counter-rotating pair g (sigma_+ (x) a_dag + sigma_- (x) a). Both are time
@@ -122,45 +122,51 @@ def photon_number_operator(dim):
 def frame_transform_u(t, p):
     """Block-diagonal unitary diag(e^{it(omega N + omega/2)}, e^{it(omega N - omega/2)});
     removes the bare atom and field rotation at the field frequency."""
+    return np.diag(_frame_diagonal(t, p))
+
+
+def _frame_diagonal(t, p):
+    # the diagonal of frame_transform_u; a column of times gives one row per time
     n = np.arange(p.dim, dtype=float)
-    upper = np.exp(1j * t * (p.omega * n + 0.5 * p.omega))
-    lower = np.exp(1j * t * (p.omega * n - 0.5 * p.omega))
-    return np.diag(np.concatenate([upper, lower]).astype(complex))
+    rates = np.concatenate([p.omega * n + 0.5 * p.omega, p.omega * n - 0.5 * p.omega])
+    return np.exp(1j * t * rates)
 
 
 def jc_rotating_generator(p):
-    """Constant generator of the rotating-frame Jaynes-Cummings dynamics:
+    """Constant generator of the rotating-frame Jaynes-Cummings dynamics,
+    H_jc - omega (sigma_3/2 (x) 1 + 1 (x) N):
     [[(Omega-omega)/2, g a], [g a_dag, -(Omega-omega)/2]] blockwise."""
-    ops = ladder_ops(p.dim)
-    eye_d = np.eye(p.dim, dtype=complex)
-    return 0.5 * p.detuning * tensor_product(pauli(3), eye_d) + p.g * (
-        tensor_product(pauli("+"), ops.a) + tensor_product(pauli("-"), ops.a_dag)
-    )
-
-
-def _sin_sqrt_over_sqrt(x, t):
-    # sin(t sqrt(x)) / sqrt(x), elementwise, with the limit t at x = 0
-    r = np.sqrt(x)
-    safe = np.where(r == 0, 1.0, r)
-    return np.where(r == 0, t, np.sin(t * r) / safe)
+    return hamiltonian_jc(p) - p.omega * excitation_operator(p.dim)
 
 
 def _jc_block_diagonals(t, p):
-    """Diagonals (d_00, d_11, s_up, s_dn) of the rotating-frame propagator
-    e^{-itB}, whose blocks are diag(d_00), -i g diag(s_up) a,
-    -i g diag(s_dn) a_dag and diag(d_11). A column of times gives one row of
-    each diagonal per time."""
+    """Diagonals (d, s) of the rotating-frame propagator e^{-itB}, which
+    _jc_rotating applies: s = (s_up, s_dn) = sin(t r)/r weighs its
+    off-diagonal blocks -i g diag(s_up) a and -i g diag(s_dn) a_dag, and its
+    diagonal is d = (d_00, d_11) = cos(t r) -+ i (delta/2) s. A column of
+    times gives one row of each per time. Squares are products: an
+    overflowing delta or g gives NaN, where a float power would raise."""
     delta = p.detuning
     root = np.sqrt(np.arange(1, p.dim, dtype=float))
-    diag_up = np.append(root * root, 0.0)  # a a_dag: sqrt(n)**2 (as a @ a_dag holds it), 0
-    diag_dn = np.arange(p.dim, dtype=float)
-    phi_up = 0.25 * delta**2 + p.g**2 * diag_up
-    phi_dn = 0.25 * delta**2 + p.g**2 * diag_dn
-    s_up = _sin_sqrt_over_sqrt(phi_up, t)
-    s_dn = _sin_sqrt_over_sqrt(phi_dn, t)
-    d_00 = np.cos(t * np.sqrt(phi_up)) - 0.5j * delta * s_up
-    d_11 = np.cos(t * np.sqrt(phi_dn)) + 0.5j * delta * s_dn
-    return d_00, d_11, s_up, s_dn
+    # a a_dag: sqrt(n)**2 (as a @ a_dag holds it), 0; then a_dag a: 0 .. dim-1
+    number = np.concatenate([root * root, [0.0], np.arange(p.dim, dtype=float)])
+    r = np.sqrt(0.25 * (delta * delta) + (p.g * p.g) * number)
+    # sin(t r) / r, continued by its limit t at r = 0
+    s = np.where(r == 0, t, np.sin(t * r) / np.where(r == 0, 1.0, r))
+    return np.cos(t * r) + np.repeat([-0.5j, 0.5j], p.dim) * delta * s, s
+
+
+def _jc_rotating(t, p, psi):
+    # e^{-itB} psi along the last axis of psi. The ladder operators shift the
+    # joint index by dim + 1: (a x)_n = sqrt(n+1) x_{n+1} fills the upper half
+    # from the lower, (a_dag x)_n = sqrt(n) x_{n-1} the lower from the upper,
+    # and zeros fill in past the truncation
+    d, s = _jc_block_diagonals(t, p)
+    root = np.sqrt(np.arange(1, p.dim, dtype=float))
+    shifted = np.zeros_like(psi)
+    shifted[..., : p.dim - 1] = root * psi[..., p.dim + 1 :]
+    shifted[..., p.dim + 1 :] = root * psi[..., : p.dim - 1]
+    return d * psi - 1j * p.g * s * shifted
 
 
 def propagator_jc_detuned(t, p):
@@ -170,11 +176,8 @@ def propagator_jc_detuned(t, p):
     delta^2/4 + g^2 a_dag a, so each block is a scalar function of a diagonal
     operator; sin(t sqrt(x))/sqrt(x) is continued by its limit t at x = 0.
     """
-    ops = ladder_ops(p.dim)
-    d_00, d_11, s_up, s_dn = _jc_block_diagonals(t, p)
-    block_01 = -1j * p.g * np.diag(s_up) @ ops.a
-    block_10 = -1j * p.g * np.diag(s_dn) @ ops.a_dag
-    return np.block([[np.diag(d_00), block_01], [block_10, np.diag(d_11)]])
+    # row j of the kernel applied to the identity is the propagator's column j
+    return _jc_rotating(t, p, np.eye(2 * p.dim)).T
 
 
 def propagator_jc_resonance(t, p):
@@ -191,8 +194,7 @@ def propagator_jc_resonance(t, p):
 def propagator_jc_lab(t, p):
     """Lab-frame Jaynes-Cummings propagator: undo the frame transform after
     the rotating-frame evolution, psi(t) = U(t)^{-1} e^{-itB} psi(0)."""
-    u = frame_transform_u(t, p)
-    return u.conj().T @ propagator_jc_detuned(t, p)
+    return _frame_diagonal(t, p).conj()[:, None] * propagator_jc_detuned(t, p)
 
 
 def _prepare(p, psi0, t_final, dt):
@@ -249,28 +251,13 @@ def simulate_jc_analytic(p, psi0, t_final, dt):
     @ psi0 at every sample, with the same truncation-leakage monitoring as
     simulate_quantum_rabi.
 
-    No matrix of the truncation is built. Each block of the closed form is
-    a diagonal, or a diagonal times one ladder operator, and so is the frame
-    transform; the diagonals are evaluated for the whole grid at once and
-    applied to psi0 and its shifts a psi0_dn and a_dag psi0_up, taken as
-    (a x)_n = sqrt(n+1) x_{n+1} and (a_dag x)_n = sqrt(n) x_{n-1}. The cost
-    is O(samples * dim).
+    The diagonals of the closed form and of the frame transform are
+    evaluated for the whole grid at once and applied to psi0 and its ladder
+    shifts; no matrix of the truncation is built, and the cost is
+    O(samples * dim).
     """
     psi0, ts = _prepare(p, psi0, t_final, dt)
     col = ts[:, None]
-    d_00, d_11, s_up, s_dn = _jc_block_diagonals(col, p)
-    up, dn = psi0[: p.dim], psi0[p.dim :]
-    root = np.sqrt(np.arange(1, p.dim, dtype=float))
-    n = np.arange(p.dim, dtype=float)
-    # U(t)^{-1} = diag(e^{-it(omega N + omega/2)}, e^{-it(omega N - omega/2)})
-    frame_up = np.exp(-1j * col * (p.omega * n + 0.5 * p.omega))
-    frame_dn = np.exp(-1j * col * (p.omega * n - 0.5 * p.omega))
-    states = np.concatenate(
-        [
-            frame_up * (d_00 * up - 1j * p.g * s_up * np.append(root * dn[1:], 0.0)),
-            frame_dn * (d_11 * dn - 1j * p.g * s_dn * np.insert(root * up[:-1], 0, 0.0)),
-        ],
-        axis=1,
-    )
+    states = _frame_diagonal(col, p).conj() * _jc_rotating(col, p, psi0)
     # + 0.0 turns the -0.0 the closed form gives for exact zeros into 0.0
     return _monitored_series(ts, states + 0.0, p)

@@ -99,10 +99,11 @@ def to_rotating_frame(psi, t, p):
 
 
 def from_rotating_frame(phi_vec, t, p):
-    """Inverse of to_rotating_frame."""
+    """Inverse of to_rotating_frame; a (T, 2) stack of states with T times
+    gives one transformed row each."""
     lo, hi = _frame_phases(t, p)
     phi_vec = np.asarray(phi_vec, dtype=complex)
-    return np.array([hi * phi_vec[0], lo * phi_vec[1]])
+    return np.stack([hi * phi_vec[..., 0], lo * phi_vec[..., 1]], axis=-1)
 
 
 def rotating_frame_generator(p):
@@ -117,20 +118,20 @@ def generalized_rabi_frequency(p):
     return math.hypot(0.5 * p.detuning, p.g)
 
 
+def _rwa_rotating(t, p, phi):
+    # exp(-i t M) phi along the last axis of phi, one row per time for a column
+    # of times; numpy's sin/cos give NaN for an overflowed phase, math's raise
+    rabi = generalized_rabi_frequency(p)
+    x = rabi * t
+    sinc = t if rabi == 0 else np.sin(x) / rabi
+    return np.cos(x) * phi - 1j * sinc * (phi @ rotating_frame_generator(p).T)
+
+
 def propagator_rwa_rotating(t, p):
     """exp(-i t M) for the constant rotating-frame generator M, in closed form
     cos(Or t) I - i sin(Or t)/Or M with Or the generalized Rabi frequency."""
-    m = rotating_frame_generator(p)
-    rabi = generalized_rabi_frequency(p)
-    x = rabi * t
-    # numpy's sin/cos give NaN for an overflowed phase where math's raise
-    sinc = t if rabi == 0 else np.sin(x) / rabi
-    return np.cos(x) * np.eye(2, dtype=complex) - 1j * sinc * m
-
-
-def _lab_phase_matrix(t, p):
-    # relative phase left after discarding the overall e^{i(omega t+phi)/2}
-    return np.array([[1, 0], [0, np.exp(-1j * (p.omega * t + p.phi))]], dtype=complex)
+    # row j of the kernel applied to the identity is the propagator's column j
+    return _rwa_rotating(t, p, np.eye(2)).T
 
 
 def propagator_rwa_resonance(t, p):
@@ -149,16 +150,16 @@ def propagator_rwa_resonance(t, p):
             f"resonance propagator requires delta = omega (|detuning| <= {RESONANCE_TOL}); "
             "use propagator_rwa_detuned for detuned drives"
         )
-    c, s = np.cos(p.g * t), np.sin(p.g * t)
-    ph = np.exp(-1j * (p.omega * t + p.phi))
-    return np.array([[c, -1j * s], [-1j * ph * s, ph * c]], dtype=complex)
+    return propagator_rwa_detuned(t, p)
 
 
 def propagator_rwa_detuned(t, p):
     """Lab-frame rotating-wave propagator for arbitrary detuning, same overall
     phase convention as propagator_rwa_resonance (to which it reduces when
     delta = omega)."""
-    return _lab_phase_matrix(t, p) @ propagator_rwa_rotating(t, p)
+    # relative phase left after discarding the overall e^{i(omega t+phi)/2}
+    phase = np.array([[1.0], [np.exp(-1j * (p.omega * t + p.phi))]])
+    return phase * propagator_rwa_rotating(t, p)
 
 
 def propagate_rwa_exact(p, psi0, times):
@@ -172,16 +173,9 @@ def propagate_rwa_exact(p, psi0, times):
     psi0 = normalize(psi0)
     times = np.asarray(times, dtype=float)
     phi0 = to_rotating_frame(psi0, times[0], p)
-    # propagator_rwa_rotating(t - t0) @ phi0 at every sample at once; an
-    # overflowed phase gives NaN states here rather than raising in math.sin
-    elapsed = times - times[0]
-    rabi = generalized_rabi_frequency(p)
-    x = rabi * elapsed
-    sinc = elapsed if rabi == 0 else np.sin(x) / rabi
-    rot = np.cos(x)[:, None] * phi0 - 1j * sinc[:, None] * (rotating_frame_generator(p) @ phi0)
-    lo, hi = _frame_phases(times, p)
-    states = np.column_stack([hi * rot[:, 0], lo * rot[:, 1]])
-    return TimeSeries(times.copy(), states)
+    # propagator_rwa_rotating(t - t0) @ phi0 at every sample at once
+    rot = _rwa_rotating((times - times[0])[:, None], p, phi0)
+    return TimeSeries(times.copy(), from_rotating_frame(rot, times, p))
 
 
 @dataclass(frozen=True)

@@ -247,6 +247,25 @@ class TestLabFrame:
         np.testing.assert_allclose(big[:, :, :16], small, rtol=0, atol=1e-15)
         assert not big[:, :, 16:].any()
 
+    def test_propagator_matrices_build_no_ladder_matrix(self, monkeypatch):
+        # the matrices apply the shift form to each basis state; the series
+        # references are built from the ladder matrices before they are refused
+        p = JCParams(big_omega=1.3, omega=1.0, g=0.07, dim=48)
+        p_res = JCParams(big_omega=1.0, omega=1.0, g=0.07, dim=48)
+        t = 2.5
+        cases = [
+            (propagator_jc_detuned, p, expm_series(jc_rotating_generator(p), -1j * t)),
+            (propagator_jc_resonance, p_res, expm_series(jc_rotating_generator(p_res), -1j * t)),
+            (propagator_jc_lab, p, expm_series(hamiltonian_jc(p), -1j * t)),
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ladder_ops called")
+
+        monkeypatch.setattr(quantum, "ladder_ops", refuse)
+        for propagator, params, reference in cases:
+            assert np.abs(propagator(t, params) - reference).max() < 1e-10
+
     def test_closed_form_writes_no_negative_zero(self):
         # exact zeros of the closed form are 0.0, never -0.0, in every part
         p = JCParams(big_omega=1.3, omega=1.0, g=0.1, dim=6)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,15 @@ from rwasim.runner import (
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+# (shipped scenario, float field of its params, extreme value)
+EXTREME_PARAMS = [
+    (path.name, f.name, value)
+    for path in sorted(SCENARIOS.glob("*.yaml"))
+    for f in fields(runner.MODELS[yaml.safe_load(path.read_text())["model"]].params)
+    if f.type is float
+    for value in (1.0e-300, 1.0e300)
+]
 
 
 def base_semiclassical(**overrides):
@@ -581,6 +591,39 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         _, table = load_table(tmp_path / "scenario.csv")
         assert np.abs(table[:, -1] - 1.0).max() < 1e-6
+
+    @pytest.mark.parametrize(
+        "name,params,message",
+        [
+            ("jc_detuned.yaml", {"g": 1.0e155}, "jc-detuned-analytic: the state is not finite"),
+            # 62.8 / (2 pi / 1e18) = 1e19 periods, beyond the int64 range
+            ("rabi_full.yaml", {"omega": 1.0e18}, "the samples span 1e+19 periods of H"),
+        ],
+    )
+    def test_overflowing_parameter_is_a_solver_error(
+        self, tmp_path, capsys, name, params, message
+    ):
+        spec = yaml.safe_load((SCENARIOS / name).read_text())
+        spec["params"].update(params)
+        path = self.write_scenario(tmp_path, spec)
+        with np.errstate(all="ignore"):
+            assert cli.main(["run", str(path), "--out", str(tmp_path)]) == cli.EXIT_SOLVER
+        assert f"solver error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "scenario.csv").exists()
+
+    @pytest.mark.parametrize("name,field_name,value", EXTREME_PARAMS)
+    def test_extreme_parameter_ends_with_an_exit_code(
+        self, tmp_path, monkeypatch, name, field_name, value
+    ):
+        # the Riccati runs that reach the evaluation budget end in about a
+        # second at this budget
+        monkeypatch.setattr(semiclassical, "MAX_STATE_ENTRIES", 2**16)
+        spec = yaml.safe_load((SCENARIOS / name).read_text())
+        spec["params"][field_name] = value
+        path = self.write_scenario(tmp_path, spec)
+        with np.errstate(all="ignore"):
+            code = cli.main(["run", str(path), "--out", str(tmp_path)])
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_SOLVER, cli.EXIT_TRUNCATION)
 
     @pytest.mark.parametrize(
         "changes,message",

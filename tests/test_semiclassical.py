@@ -91,6 +91,14 @@ class TestRotatingFrame:
         back = from_rotating_frame(to_rotating_frame(psi, 3.3, p), 3.3, p)
         assert np.abs(back - psi).max() < 1e-14
 
+    def test_stack_of_states_matches_per_row_calls(self):
+        rng = np.random.default_rng(6)
+        p = random_params(rng)
+        ts = sample_grid(0.0, 9.0, 0.7)
+        stack = rng.normal(size=(ts.size, 2)) + 1j * rng.normal(size=(ts.size, 2))
+        rows = np.array([from_rotating_frame(phi, t, p) for phi, t in zip(stack, ts)])
+        np.testing.assert_array_equal(from_rotating_frame(stack, ts, p), rows)
+
     def test_norm_preserved(self):
         p = DriveParams(delta=1.0, g=0.1, omega=1.2, phi=0.5)
         psi = np.array([0.6, 0.8j])
