@@ -86,17 +86,18 @@ def hamiltonian_jc(p):
     """Jaynes-Cummings Hamiltonian: the quantum Rabi model with the
     counter-rotating couplings removed. Commutes with the excitation
     operator sigma_3/2 (x) 1 + 1 (x) N."""
-    ops = ladder_ops(p.dim)
     eye_d = np.eye(p.dim, dtype=complex)
     return (
         0.5 * p.big_omega * tensor_product(pauli(3), eye_d)
-        + p.omega * tensor_product(pauli("I"), ops.n_op)
-        + p.g
-        * (
-            tensor_product(pauli("+"), ops.a)
-            + tensor_product(pauli("-"), ops.a_dag)
-        )
+        + p.omega * photon_number_operator(p.dim)
+        + _jc_coupling(p)
     )
+
+
+def _jc_coupling(p):
+    # g (sigma_+ (x) a + sigma_- (x) a_dag), the coupling of H_jc and of its rotating frame
+    ops = ladder_ops(p.dim)
+    return p.g * (tensor_product(pauli("+"), ops.a) + tensor_product(pauli("-"), ops.a_dag))
 
 
 def excitation_operator(dim):
@@ -133,10 +134,10 @@ def _frame_diagonal(t, p):
 
 
 def jc_rotating_generator(p):
-    """Constant generator of the rotating-frame Jaynes-Cummings dynamics,
-    H_jc - omega (sigma_3/2 (x) 1 + 1 (x) N):
+    """Constant generator of the rotating-frame Jaynes-Cummings dynamics:
     [[(Omega-omega)/2, g a], [g a_dag, -(Omega-omega)/2]] blockwise."""
-    return hamiltonian_jc(p) - p.omega * excitation_operator(p.dim)
+    eye_d = np.eye(p.dim, dtype=complex)
+    return 0.5 * p.detuning * tensor_product(pauli(3), eye_d) + _jc_coupling(p)
 
 
 def _jc_block_diagonals(t, p):
@@ -152,8 +153,12 @@ def _jc_block_diagonals(t, p):
     number = np.concatenate([root * root, [0.0], np.arange(p.dim, dtype=float)])
     r = np.sqrt(0.25 * (delta * delta) + (p.g * p.g) * number)
     # sin(t r) / r, continued by its limit t at r = 0
-    s = np.where(r == 0, t, np.sin(t * r) / np.where(r == 0, 1.0, r))
-    return np.cos(t * r) + np.repeat([-0.5j, 0.5j], p.dim) * delta * s, s
+    safe = np.where(r == 0, 1.0, r)
+    s = np.where(r == 0, t, np.sin(t * r) / safe)
+    # d_00 takes -i (delta/2) s, d_11 takes +i (delta/2) s
+    sign = np.repeat([-1.0, 1.0], p.dim)
+    d = np.cos(t * r) + sign * (0.5j * delta * s)
+    return d, s
 
 
 def _jc_rotating(t, p, psi):

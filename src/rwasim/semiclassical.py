@@ -150,7 +150,9 @@ def propagator_rwa_resonance(t, p):
             f"resonance propagator requires delta = omega (|detuning| <= {RESONANCE_TOL}); "
             "use propagator_rwa_detuned for detuned drives"
         )
-    return propagator_rwa_detuned(t, p)
+    c, s = np.cos(p.g * t), np.sin(p.g * t)
+    ph = np.exp(-1j * (p.omega * t + p.phi))
+    return np.array([[c, -1j * s], [-1j * ph * s, ph * c]], dtype=complex)
 
 
 def propagator_rwa_detuned(t, p):
