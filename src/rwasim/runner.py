@@ -156,29 +156,26 @@ def _as_int(value, field_path):
     return int(f)
 
 
+def _keys(cls, given):
+    # the keys of a scenario block: the int and float fields of `cls` not given
+    return [f for f in fields(cls) if f.type in (int, float) and f.name not in given]
+
+
 def _build(cls, raw, path, **given):
-    """Parse the scenario block at `path` into dataclass `cls`, whose fields
-    not `given` are its keys: int and float fields take finite numbers, bool
-    fields YAML booleans, and the dataclass validates the rest."""
+    """Parse the scenario block at `path` into dataclass `cls`: each int or
+    float field not `given` is a key taking a finite number, any other field
+    keeps its default, and the dataclass validates the values."""
     if not isinstance(raw, dict):
         raise ScenarioError("expected a mapping", path)
-    parsed = [f for f in fields(cls) if f.name not in given]
+    parsed = _keys(cls, given)
     _check_keys(raw, {f.name for f in parsed}, path)
     for f in parsed:
         value = raw.get(f.name, None if f.default is MISSING else f.default)
-        where = f"{path}.{f.name}"
-        if f.type is int:
-            value = _as_int(value, where)
-        elif f.type is float:
-            value = _as_float(value, where)
-        elif f.type is bool and not isinstance(value, bool):
-            raise ScenarioError(f"expected true or false, got {value!r}", where)
-        given[f.name] = value
+        parse = _as_int if f.type is int else _as_float
+        given[f.name] = parse(value, f"{path}.{f.name}")
     try:
         return cls(**given)
     except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
         raise ScenarioError(str(exc), path) from None
 
 
@@ -265,7 +262,9 @@ class Scenario:
             "t_final": self.t_final,
             "dt": self.dt,
             # dt is echoed once, at the top level
-            "integrator": {k: v for k, v in asdict(self.integrator).items() if k != "dt"},
+            "integrator": {
+                f.name: getattr(self.integrator, f.name) for f in _keys(IntegratorConfig, {"dt"})
+            },
             "outputs": list(self.outputs),
         }
 
@@ -370,7 +369,9 @@ def run_scenario(scenario):
     to the caller with the partial trajectory attached.
     """
     spec = MODELS[scenario.model]
-    series = spec.solve(scenario, scenario.initial_vector(), scenario.resolved_t_final())
+    # an overflow is reported by the finite-state check below, not by warnings
+    with np.errstate(all="ignore"):
+        series = spec.solve(scenario, scenario.initial_vector(), scenario.resolved_t_final())
     finite = np.isfinite(series.states).all(axis=1)
     if not finite.all():
         t_bad = float(series.times[np.argmin(finite)])
@@ -564,7 +565,7 @@ def write_timeseries(result, path, extra_meta=None):
     columns += list(scenario.outputs) + ["norm"]
 
     lines = [
-        "# rwasim-timeseries v1",
+        "# rwasim-timeseries v2",
         f"# scenario: {json.dumps(scenario.to_dict(), sort_keys=True)}",
         f"# config-hash: {scenario.config_hash()}",
         f"# solver: {MODELS[scenario.model].solver}",
@@ -583,7 +584,7 @@ def write_timeseries(result, path, extra_meta=None):
 
 def write_comparison(report, path):
     lines = [
-        "# rwasim-comparison v1",
+        "# rwasim-comparison v2",
         f"# scenario-a: {json.dumps(report.scenario_a, sort_keys=True)}",
         f"# scenario-b: {json.dumps(report.scenario_b, sort_keys=True)}",
         f"# config-hash-a: {report.hash_a}",

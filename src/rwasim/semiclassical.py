@@ -66,12 +66,18 @@ class DriveParams:
         return self.delta - self.omega
 
 
+def _drive_phase(t, p):
+    # omega t + phi with phi reduced mod 2 pi first (fmod is exact): at a
+    # large phi the sum could only take values np.spacing(phi) apart
+    return p.omega * t + math.fmod(p.phi, math.tau)
+
+
 def hamiltonian_full(t, p):
     """H(t) = -(delta/2) sigma_3 + 2 g cos(omega t + phi) sigma_1.
 
     `t` may be an array of times; H then has shape t.shape + (2, 2).
     """
-    c = 2.0 * p.g * np.cos(p.omega * np.asarray(t, dtype=float) + p.phi)
+    c = 2.0 * p.g * np.cos(_drive_phase(np.asarray(t, dtype=float), p))
     h = np.empty((*c.shape, 2, 2), dtype=complex)
     h[..., 0, 0] = -0.5 * p.delta
     h[..., 1, 1] = 0.5 * p.delta
@@ -82,12 +88,12 @@ def hamiltonian_full(t, p):
 def hamiltonian_rwa(t, p):
     """Rotating-wave Hamiltonian: the counter-rotating half of the cosine
     drive is dropped, leaving g e^{+-i(omega t + phi)} off-diagonals."""
-    e = p.g * np.exp(1j * (p.omega * t + p.phi))
+    e = p.g * np.exp(1j * _drive_phase(t, p))
     return np.array([[-0.5 * p.delta, e], [np.conj(e), 0.5 * p.delta]], dtype=complex)
 
 
 def _frame_phases(t, p):
-    half = 0.5 * (p.omega * t + p.phi)
+    half = 0.5 * _drive_phase(t, p)
     return np.exp(-1j * half), np.exp(1j * half)
 
 
@@ -151,7 +157,7 @@ def propagator_rwa_resonance(t, p):
             "use propagator_rwa_detuned for detuned drives"
         )
     c, s = np.cos(p.g * t), np.sin(p.g * t)
-    ph = np.exp(-1j * (p.omega * t + p.phi))
+    ph = np.exp(-1j * _drive_phase(t, p))
     return np.array([[c, -1j * s], [-1j * ph * s, ph * c]], dtype=complex)
 
 
@@ -160,7 +166,7 @@ def propagator_rwa_detuned(t, p):
     phase convention as propagator_rwa_resonance (to which it reduces when
     delta = omega)."""
     # relative phase left after discarding the overall e^{i(omega t+phi)/2}
-    phase = np.array([[1.0], [np.exp(-1j * (p.omega * t + p.phi))]])
+    phase = np.array([[1.0], [np.exp(-1j * _drive_phase(t, p))]])
     return phase * propagator_rwa_rotating(t, p)
 
 
@@ -197,7 +203,7 @@ _GUARD_REASONS = ("|1 + iG| below pole tolerance", "|F| beyond blow-up guard")
 
 
 def _riccati_field(t, f, g_fun, p):
-    d = 2.0 * p.g * math.cos(p.omega * t + p.phi)
+    d = 2.0 * p.g * math.cos(_drive_phase(t, p))
     return d * (1.0 + f * f) + 1j * p.delta * f, -p.delta + 2j * d * f, d * np.exp(-1j * g_fun)
 
 
@@ -269,7 +275,7 @@ def solve_beyond_rwa(
         if next(evals) > MAX_STATE_ENTRIES:
             raise StiffnessError(
                 f"the Riccati solve needs over {MAX_STATE_ENTRIES} right-hand-side "
-                "evaluations; lower g or t_final, or raise rel_tol"
+                "evaluations; lower delta, g, omega or t_final, or raise rel_tol"
             )
         return np.array(_riccati_field(t, y[0], y[1], p))
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -106,23 +107,19 @@ class TestScenarioParsing:
         d = base_semiclassical(integrator={"rel_tol": "1e-10"})
         assert Scenario.from_dict(d).integrator.rel_tol == 1e-10
 
-    @pytest.mark.parametrize("value", ["no", "false", 1, 0, None])
-    def test_renormalize_must_be_boolean(self, value):
-        with pytest.raises(ScenarioError, match="integrator.renormalize"):
-            Scenario.from_dict(base_semiclassical(integrator={"renormalize": value}))
-
-    @pytest.mark.parametrize("value", [True, False])
-    def test_renormalize_boolean_echoed(self, value):
-        s = Scenario.from_dict(base_semiclassical(integrator={"renormalize": value}))
-        assert s.integrator.renormalize is value
-        assert s.to_dict()["integrator"]["renormalize"] is value
-
     def test_integrator_defaults_are_those_of_the_config(self):
         minimal = base_semiclassical()
         assert Scenario.from_dict(minimal).integrator == IntegratorConfig(dt=minimal["dt"])
 
+    @pytest.mark.parametrize("model", list(runner.MODELS))
+    def test_integrator_echo_holds_only_the_tolerances(self, model):
+        # the two settings some run reads; dt is echoed at the top level
+        quantum = runner.MODELS[model].params is runner.JCParams
+        echo = Scenario.from_dict((base_quantum if quantum else base_semiclassical)(model=model))
+        assert set(echo.to_dict()["integrator"]) == {"abs_tol", "rel_tol"}
+
     def test_integrator_errors_come_in_field_order(self):
-        d = base_semiclassical(integrator={"renormalize": "no", "rel_tol": "tight"})
+        d = base_semiclassical(integrator={"abs_tol": "loose", "rel_tol": "tight"})
         with pytest.raises(ScenarioError, match="integrator.rel_tol"):
             Scenario.from_dict(d)
 
@@ -209,6 +206,20 @@ class TestRunPathways:
             col = result.observables[name]
             assert np.abs(col - col[0]).max() < 1e-9
 
+    @pytest.mark.parametrize(
+        "model", ["semiclassical-full", "semiclassical-rwa", "semiclassical-riccati"]
+    )
+    def test_large_drive_phase_runs_as_its_reduction(self, model):
+        # omega t + 1e12 could only take values 1.2e-4 apart; phi is reduced
+        # mod 2 pi before the time is added
+        def states(phi):
+            params = {"delta": 1.0, "g": 0.1, "omega": 1.0, "phi": phi}
+            spec = base_semiclassical(model=model, params=params, t_final=5.0)
+            return run_scenario(Scenario.from_dict(spec)).series.states
+
+        reduced = math.fmod(1.0e12, 2 * math.pi)
+        np.testing.assert_array_equal(states(1.0e12), states(reduced))
+
     def test_detuned_analytic_matches_numeric_jc(self):
         spec_a = base_quantum(model="jc-detuned-analytic", t_final=20.0)
         spec_a["params"] = dict(spec_a["params"], big_omega=1.3)
@@ -222,6 +233,19 @@ class TestRunPathways:
 
 
 class TestRoundTrip:
+    def test_echo_with_a_removed_integrator_key_is_rejected(self, tmp_path):
+        echo = (
+            '{"dt": 0.1, "initial_state": "atom:0", "integrator": {"abs_tol": 1e-14, '
+            '"method": "rk45-adaptive", "rel_tol": 1e-12, "renormalize": false}, '
+            '"model": "semiclassical-rwa", "outputs": ["p0", "p1"], "params": {"delta": 1.0, '
+            '"g": 0.1, "omega": 1.0, "phi": 0.0}, "t_final": "rabi-period"}'
+        )
+        path = tmp_path / "old.csv"
+        path.write_text(f"# rwasim-timeseries v1\n# scenario: {echo}\n")
+        removed = r"integrator: unknown keys \['method', 'renormalize'\]"
+        with pytest.raises(ScenarioError, match=removed):
+            load_metadata(path)
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -249,23 +273,11 @@ class TestRoundTrip:
         "spec,solver",
         [
             (base_semiclassical(model="semiclassical-full", t_final=2.0), "magnus4-floquet"),
-            (
-                base_semiclassical(
-                    model="semiclassical-full", t_final=2.0, integrator={"method": "rk4-fixed"}
-                ),
-                "magnus4-floquet",
-            ),
             (base_quantum(model="quantum-rabi", t_final=2.0), "spectral"),
             (base_quantum(t_final=2.0), "spectral"),
             (base_quantum(model="jc-detuned-analytic", t_final=2.0), "closed-form"),
             (base_semiclassical(t_final=2.0), "closed-form"),
             (base_semiclassical(model="semiclassical-riccati", t_final=2.0), "rk45-adaptive"),
-            (
-                base_semiclassical(
-                    model="semiclassical-riccati", t_final=2.0, integrator={"method": "rk4-fixed"}
-                ),
-                "rk45-adaptive",
-            ),
         ],
     )
     def test_solver_header_names_the_method_used(self, tmp_path, spec, solver):
@@ -540,24 +552,20 @@ class TestCli:
         assert not (tmp_path / "scenario.csv").exists()
 
     @pytest.mark.parametrize(
-        "model,g,method",
+        "model,g",
         [
             # H overflows to inf; the NaN Hermiticity defect used to pass the check
-            ("semiclassical-full", 1.0e308, "rk45-adaptive"),
-            ("semiclassical-full", 1.0e308, "rk4-fixed"),
+            ("semiclassical-full", 1.0e308),
             # H is finite but the state overflows
-            ("semiclassical-full", 1.0e200, "rk4-fixed"),
-            ("semiclassical-riccati", 1.0e308, "rk45-adaptive"),
+            ("semiclassical-full", 1.0e200),
+            ("semiclassical-riccati", 1.0e308),
             # the Rabi phase overflows; the closed form used to raise in math.sin
-            ("semiclassical-rwa", 1.0e308, "rk45-adaptive"),
+            ("semiclassical-rwa", 1.0e308),
         ],
     )
-    def test_overflowing_run_is_solver_error(self, tmp_path, capsys, model, g, method):
+    def test_overflowing_run_is_solver_error(self, tmp_path, capsys, model, g):
         spec = base_semiclassical(
-            model=model,
-            params={"delta": 1.0, "g": g, "omega": 1.0},
-            t_final=10.0,
-            integrator={"method": method},
+            model=model, params={"delta": 1.0, "g": g, "omega": 1.0}, t_final=10.0
         )
         path = self.write_scenario(tmp_path, spec)
         with np.errstate(all="ignore"):
@@ -611,6 +619,15 @@ class TestCli:
         assert f"solver error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "scenario.csv").exists()
 
+    def test_overflow_warnings_stay_off_stderr(self, tmp_path):
+        spec = yaml.safe_load((SCENARIOS / "jc_detuned.yaml").read_text())
+        spec["params"]["g"] = 1.0e155
+        path = self.write_scenario(tmp_path, spec)
+        proc = _run_cli_in_subprocess(["run", str(path), "--out", str(tmp_path)])
+        assert proc.returncode == cli.EXIT_SOLVER
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("solver error: jc-detuned-analytic: the state is not finite")
+
     @pytest.mark.parametrize("name,field_name,value", EXTREME_PARAMS)
     def test_extreme_parameter_ends_with_an_exit_code(
         self, tmp_path, monkeypatch, name, field_name, value
@@ -628,7 +645,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "changes,message",
         [
-            ({"integrator": {"method": "euler"}}, "integrator: unknown integrator method 'euler'"),
+            ({"integrator": {"method": "rk45-adaptive"}}, "integrator: unknown keys ['method']"),
+            ({"integrator": {"renormalize": False}}, "integrator: unknown keys ['renormalize']"),
             ({"initial_state": [0.0, [0.0, 0.0]]}, "initial_state: cannot normalize a zero vector"),
             ({"initial_state": [1e308, 1e308]}, "initial_state: the norm of the state vector"),
             ({"outputs": "p0"}, "outputs: expected a list of observable names"),
@@ -665,13 +683,22 @@ class TestCli:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "scenario.csv").exists()
 
-    def test_riccati_evaluation_budget_is_a_solver_error(self, tmp_path, capsys, monkeypatch):
+    # a large splitting needs as many steps as a large coupling does
+    @pytest.mark.parametrize("delta", [1.0, 1.0e3])
+    def test_riccati_evaluation_budget_is_a_solver_error(
+        self, tmp_path, capsys, monkeypatch, delta
+    ):
         monkeypatch.setattr(semiclassical, "MAX_STATE_ENTRIES", 1000)
-        spec = base_semiclassical(model="semiclassical-riccati", t_final=50.0)
+        spec = base_semiclassical(
+            model="semiclassical-riccati",
+            params={"delta": delta, "g": 0.1, "omega": 1.0},
+            t_final=50.0,
+        )
         path = self.write_scenario(tmp_path, spec)
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == cli.EXIT_SOLVER
         err = capsys.readouterr().err
         assert "solver error: the Riccati solve needs over 1000 right-hand-side" in err
+        assert "lower delta, g, omega or t_final" in err
         assert "pole" not in err.lower()
         assert not (tmp_path / "scenario.csv").exists()
 

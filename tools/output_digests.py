@@ -2,9 +2,11 @@
 
 Runs the commands of the three workloads in benchmarks/workloads.py, at
 seeds 0 and 7, through `python -m rwasim.cli` on this checkout's src/, with
-one BLAS thread, and prints one `sha256  <workload>-<seed>/<file>` line per
-CSV. Diff the output of two checkouts to see whether a change keeps every
-output byte for byte:
+one BLAS thread. It prints one line per CSV: the sha256 of the whole file,
+the sha256 of its rows (the lines that do not start with `#`, which a
+change of the header alone leaves fixed) and `<workload>-<seed>/<file>`.
+Diff the output of two checkouts to see whether a change keeps every
+output, or every numeric row, byte for byte:
 
     python3 tools/output_digests.py > digests.txt
 """
@@ -36,4 +38,9 @@ with tempfile.TemporaryDirectory() as tmp:
                 argv = [sys.executable, "-m", "rwasim.cli", *command.argv(scenario_dir, out)]
                 subprocess.run(argv, env=ENV, check=True, stdout=subprocess.DEVNULL)
             for csv in sorted(out.glob("*.csv")):
-                print(f"{hashlib.sha256(csv.read_bytes()).hexdigest()}  {name}/{csv.name}")
+                data = csv.read_bytes()
+                rows = b"".join(
+                    line for line in data.splitlines(keepends=True) if not line.startswith(b"#")
+                )
+                digests = (hashlib.sha256(blob).hexdigest() for blob in (data, rows))
+                print(f"{'  '.join(digests)}  {name}/{csv.name}")
