@@ -155,7 +155,7 @@ def integrate(h_of_t, psi0, t0, t1, cfg):
         return _series(ts, states, cfg)
 
     # imported here: scipy.integrate takes longer to import than most runs
-    # take to solve, and only this oracle and the Riccati route need it
+    # take to solve, and only this oracle needs it
     from scipy.integrate import solve_ivp
 
     sol = solve_ivp(

@@ -16,7 +16,6 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__
@@ -548,7 +547,7 @@ def load_scenario_file(path):
 
 
 def _versions_line():
-    return f"rwasim={__version__} numpy={np.__version__} scipy={scipy.__version__}"
+    return f"rwasim={__version__} numpy={np.__version__}"
 
 
 def _rows(columns):

@@ -11,8 +11,10 @@ psi(0) whose F obeys a Riccati equation and captures the dynamics beyond the
 rotating-wave approximation.
 """
 
+import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,7 +206,7 @@ _GUARD_REASONS = ("|1 + iG| below pole tolerance", "|F| beyond blow-up guard")
 
 def _riccati_field(t, f, g_fun, p):
     d = 2.0 * p.g * math.cos(_drive_phase(t, p))
-    return d * (1.0 + f * f) + 1j * p.delta * f, -p.delta + 2j * d * f, d * np.exp(-1j * g_fun)
+    return d * (1.0 + f * f) + 1j * p.delta * f, -p.delta + 2j * d * f, d * cmath.exp(-1j * g_fun)
 
 
 def _guard_margins(f, g_fun, f_max, pole_tol):
@@ -237,11 +239,149 @@ def reconstruct_disentangled(s):
     """Product e^{-iF sigma_+} e^{-iG tau_3} e^{-iH sigma_-} as a 2x2 matrix.
 
     The outer factors are nilpotent exponentials (exact at first order),
-    the middle one is diag(e^{-iG/2}, e^{iG/2}).
+    the middle one is diag(e^{-iG/2}, e^{iG/2}). F, G and H may be arrays;
+    the matrices then have shape (..., 2, 2).
     """
-    a = np.exp(-0.5j * s.g_fun)
     b = np.exp(0.5j * s.g_fun)
-    return np.array([[a - s.f * s.h * b, -1j * s.f * b], [-1j * s.h * b, b]])
+    u = np.empty((*np.broadcast(s.f, s.g_fun, s.h).shape, 2, 2), dtype=complex)
+    u[..., 0, 0] = np.exp(-0.5j * s.g_fun) - s.f * s.h * b
+    u[..., 0, 1] = -1j * s.f * b
+    u[..., 1, 0] = -1j * s.h * b
+    u[..., 1, 1] = b
+    return u
+
+
+# The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 19, 1980) as scipy's RK45 takes it: the nodes and stage weights of stages
+# 2 to 6, the fifth-order weights, the error weights over all seven stages
+# (the seventh is the derivative at the step's end) and the quartic dense
+# output of Shampine (Math. Comp. 46, 135, 1986), written one row per stage
+# and stored as one tuple of stage weights per power of the step fraction.
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_DP_P = tuple(
+    zip(
+        (1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432),
+        (0.0, 0.0, 0.0, 0.0),
+        (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799),
+        (0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072),
+        (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632),
+        (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+        (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
+    )
+)
+
+
+def _dot(weights, values):
+    return sum(map(operator.mul, weights, values))
+
+
+def _rms(values, scale):
+    return math.hypot(*(abs(v) / s for v, s in zip(values, scale))) / math.sqrt(len(scale))
+
+
+def _initial_step(fun, y, f, t_bound, rtol, atol):
+    # Hairer, Norsett & Wanner, Solving ODEs I, II.4, as scipy computes it
+    scale = [atol + abs(v) * rtol for v in y]
+    d0, d1 = _rms(y, scale), _rms(f, scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
+    f1 = fun(h0, [v + h0 * d for v, d in zip(y, f)])
+    d2 = _rms([a - b for a, b in zip(f1, f)], scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        return min(100 * h0, max(1e-6, h0 * 1e-3), t_bound)
+    return min(100 * h0, (0.01 / max(d1, d2)) ** 0.2, t_bound)
+
+
+def _dense_output(t_old, h, y_old, ks):
+    qs = [[_dot(column, k) for column in _DP_P] for k in ks]
+
+    def y_at(t):
+        x = (t - t_old) / h
+        powers = (x, x * x, x * x * x, x * x * x * x)
+        return [v + h * _dot(q, powers) for v, q in zip(y_old, qs)]
+
+    return y_at
+
+
+def _crossing(margin, lo, hi):
+    # bisect [lo, hi], across which margin changes sign, down to adjacent floats
+    side = margin(lo) > 0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if (margin(mid) > 0) == side:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _rk45(fun, y, t_bound, grid, rtol, atol, margins):
+    """Integrate y' = fun(t, y) from t = 0 to t_bound with the steps of
+    scipy's RK45 at these tolerances, y being a list of complex numbers.
+
+    Returns the states at the grid times, from the dense output, and
+    (t_stop, k) if margins(y)[k] changed sign at t_stop (then only the grid
+    times up to t_stop are sampled), else None. A step attempt whose
+    arithmetic overflows counts as a rejected step.
+    """
+    t, f, out = 0.0, fun(0.0, y), []
+    try:
+        h_abs = _initial_step(fun, y, f, t_bound, rtol, atol)
+    except (OverflowError, ValueError):
+        h_abs = 0.0
+    old = margins(y)
+    while t < t_bound:
+        min_step = 10 * math.ulp(t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:
+            if h_abs < min_step:
+                raise StiffnessError(
+                    "adaptive integration failed: "
+                    "Required step size is less than spacing between numbers."
+                )
+            t_new = min(t + h_abs, t_bound)
+            h = h_abs = t_new - t
+            try:
+                # the stage derivatives, one list per component
+                ks = [[d] for d in f]
+                for c, a in zip(_DP_C, _DP_A):
+                    stage = fun(t + c * h, [v + _dot(a, k) * h for v, k in zip(y, ks)])
+                    for k, d in zip(ks, stage):
+                        k.append(d)
+                y_new = [v + h * _dot(_DP_B, k) for v, k in zip(y, ks)]
+                for k, d in zip(ks, fun(t + h, y_new)):
+                    k.append(d)
+                scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
+                error = _rms([_dot(_DP_E, k) * h for k in ks], scale)
+            except (OverflowError, ValueError):
+                error = math.inf
+            if error < 1:
+                factor = 10.0 if error == 0 else min(10.0, 0.9 * error**-0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * error**-0.2)
+            rejected = True
+        t_old, y_old, t, y, f = t, y, t_new, y_new, [k[-1] for k in ks]
+        new = margins(y)
+        fired = [k for k, (a, b) in enumerate(zip(old, new)) if a <= 0 <= b or a >= 0 >= b]
+        old, stop, t_end = new, None, t
+        if fired or (len(out) < len(grid) and grid[len(out)] <= t):
+            y_at = _dense_output(t_old, h, y_old, ks)
+        if fired:
+            stop = min((_crossing(lambda s, k=k: margins(y_at(s))[k], t_old, t), k) for k in fired)
+            t_end = stop[0]
+        while len(out) < len(grid) and grid[len(out)] <= t_end:
+            out.append(y_at(grid[len(out)]))
+        if stop is not None:
+            return out, stop
+    return out, None
 
 
 def solve_beyond_rwa(
@@ -263,10 +403,10 @@ def solve_beyond_rwa(
     so does a solve that needs more than MAX_STATE_ENTRIES evaluations of
     the right-hand side.
     """
-    from scipy.integrate import solve_ivp  # deferred, as in rwasim.integrator
-
     if not dt > 0:
         raise ValueError("dt must be positive")
+    if not t_final > 0:
+        raise ValueError("t_final must be positive")
     psi0 = normalize(psi0)
 
     evals = itertools.count(1)
@@ -277,34 +417,24 @@ def solve_beyond_rwa(
                 f"the Riccati solve needs over {MAX_STATE_ENTRIES} right-hand-side "
                 "evaluations; lower delta, g, omega or t_final, or raise rel_tol"
             )
-        return np.array(_riccati_field(t, y[0], y[1], p))
-
-    # the guards of riccati_rhs, run as terminal events so the step
-    # controller can stop at the pole instead of unwinding a raise
-    events = [lambda t, y, k=k: _guard_margins(y[0], y[1], f_max, pole_tol)[k] for k in (0, 1)]
-    for event in events:
-        event.terminal = True
+        return _riccati_field(t, y[0], y[1], p)
 
     ts = sample_grid(0.0, t_final, dt)
-    sol = solve_ivp(
+    out, stop = _rk45(
         rhs,
-        (0.0, t_final),
-        np.zeros(3, dtype=complex),
-        method="RK45",
-        rtol=rel_tol,
-        atol=abs_tol,
-        t_eval=ts,
-        events=events,
+        [0j, 0j, 0j],
+        t_final,
+        ts.tolist(),
+        # scipy lifts a rel_tol below 100 machine epsilons to that floor
+        max(rel_tol, 100 * math.ulp(1.0)),
+        abs_tol,
+        # the guards of riccati_rhs, located on the dense output so the
+        # solve can stop at the pole instead of unwinding a raise
+        lambda y: _guard_margins(y[0], y[1], f_max, pole_tol),
     )
-    if sol.status == -1:
-        # both guards are terminal events, so a failed run is no pole
-        raise StiffnessError(f"adaptive integration failed: {sol.message}")
-
-    states = np.array([reconstruct_disentangled(DisentangleState(*y)) @ psi0 for y in sol.y.T])
-    series = TimeSeries(sol.t.copy(), states)
-
-    if sol.status == 1:  # a terminal event fired
-        which = 0 if sol.t_events[0].size else 1
-        t_pole = float(sol.t_events[which][0])
+    states = reconstruct_disentangled(DisentangleState(*np.array(out).T)) @ psi0
+    series = TimeSeries(ts[: len(out)].copy(), states)
+    if stop is not None:
+        t_pole, which = stop
         raise RiccatiPoleError(t_pole, partial=series, reason=_GUARD_REASONS[which])
     return series

@@ -802,3 +802,25 @@ def test_semiclassical_full_skips_scipy_integrate(tmp_path, args):
     proc = _run_in_subprocess(code + "print('scipy.integrate' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["run", path.name] for path in sorted(SCENARIOS.glob("*.yaml"))]
+    + [
+        ["compare", "quantum_rabi.yaml", "jc_vacuum.yaml"],
+        ["compare", "rabi_full.yaml", "rabi_resonant.yaml"],
+        ["sweep", "rabi_full.yaml", "--param", "g", "--values", "0.2,0.1,0.05,0.025"],
+        ["sweep", "quantum_rabi.yaml", "--param", "g", "--values", "0.1,0.05,0.02"],
+    ],
+    ids=" ".join,
+)
+def test_cli_command_skips_scipy(tmp_path, args):
+    # no command computes anything with scipy, and the versions header no
+    # longer names it
+    argv = [str(SCENARIOS / a) if a.endswith(".yaml") else a for a in args]
+    argv += ["--out", str(tmp_path)]
+    code = f"import sys\nfrom rwasim import cli\nassert cli.main({argv!r}) == 0\n"
+    proc = _run_in_subprocess(code + "print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,8 @@ from rwasim.semiclassical import (
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def random_params(rng):
@@ -293,6 +297,16 @@ class TestReconstruction:
             )
             assert np.abs(reconstruct_disentangled(s) - product).max() < 1e-12
 
+    def test_arrays_give_one_matrix_per_entry(self):
+        rng = np.random.default_rng(7)
+        f, g_fun, h = (rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)) for _ in range(3))
+        u = reconstruct_disentangled(DisentangleState(f, g_fun, h))
+        assert u.shape == (4, 3, 2, 2)
+        for idx in np.ndindex(4, 3):
+            scalar = reconstruct_disentangled(DisentangleState(f[idx], g_fun[idx], h[idx]))
+            # numpy's array loops may round the products differently
+            np.testing.assert_allclose(u[idx], scalar, rtol=0, atol=1e-15)
+
 
 class TestBeyondRwa:
     def test_drive_off_reduces_to_free_evolution(self):
@@ -332,6 +346,12 @@ class TestBeyondRwa:
         with pytest.raises(ValueError):
             solve_beyond_rwa(p, 10.0, -0.1, KET0)
 
+    @pytest.mark.parametrize("t_final", [0.0, -1.0])
+    def test_rejects_non_positive_t_final(self, t_final):
+        p = DriveParams(delta=1.0, g=0.05, omega=1.0)
+        with pytest.raises(ValueError, match="t_final must be positive"):
+            solve_beyond_rwa(p, t_final, 0.1, KET0)
+
     def test_failed_integration_is_no_pole(self):
         # the vector field is NaN from the first step: step control fails
         # before either guard can fire
@@ -361,6 +381,95 @@ class TestBeyondRwa:
         assert not isinstance(excinfo.value, RiccatiPoleError)
         assert f"over {evals - 1} right-hand-side evaluations" in str(excinfo.value)
         assert "pole" not in str(excinfo.value).lower()
+
+    @pytest.mark.parametrize("value", [1.0e300, 1.0e308])
+    @pytest.mark.parametrize("name", ["delta", "g", "omega"])
+    def test_overflowing_parameter_is_a_stiffness_error(self, monkeypatch, name, value):
+        # plain complex arithmetic raises where numpy gave inf or NaN; a
+        # trial step that raises is a rejected step, so the solve ends at the
+        # minimum step or at the budget, as it did on scipy's RK45
+        monkeypatch.setattr(semiclassical, "MAX_STATE_ENTRIES", 2**16)
+        p = DriveParams(**{"delta": 1.0, "g": 0.05, "omega": 1.0, name: value})
+        with pytest.raises(StiffnessError) as excinfo:
+            solve_beyond_rwa(p, 50.0, 0.1, KET0, rel_tol=1e-12, abs_tol=1e-14)
+        assert type(excinfo.value) is StiffnessError
+
+
+class TestStepperAgainstScipy:
+    """The Riccati route's own Dormand-Prince stepper takes the steps of
+    scipy's RK45 at the same tolerances."""
+
+    @staticmethod
+    def scipy_solve(scenario, f_max):
+        from scipy.integrate import solve_ivp
+
+        p, integ = scenario.params, scenario.integrator
+        events = [
+            lambda t, y, k=k: semiclassical._guard_margins(
+                y[0], y[1], f_max, semiclassical.POLE_GUARD_G
+            )[k]
+            for k in (0, 1)
+        ]
+        for event in events:
+            event.terminal = True
+        sol = solve_ivp(
+            lambda t, y: np.array(semiclassical._riccati_field(t, y[0], y[1], p)),
+            (0.0, scenario.t_final),
+            np.zeros(3, dtype=complex),
+            method="RK45",
+            rtol=integ.rel_tol,
+            atol=integ.abs_tol,
+            t_eval=sample_grid(0.0, scenario.t_final, scenario.dt),
+            events=events,
+        )
+        states = reconstruct_disentangled(DisentangleState(*sol.y)) @ KET0
+        t_events = [te[0] for te in sol.t_events if te.size]
+        return sol, states, t_events
+
+    @staticmethod
+    def solve(scenario, **kwargs):
+        integ = scenario.integrator
+        return solve_beyond_rwa(
+            scenario.params,
+            scenario.t_final,
+            scenario.dt,
+            KET0,
+            rel_tol=integ.rel_tol,
+            abs_tol=integ.abs_tol,
+            **kwargs,
+        )
+
+    @pytest.fixture
+    def scenario(self):
+        from rwasim.runner import load_scenario_file
+
+        scenario = load_scenario_file(SCENARIOS / "rabi_riccati.yaml")
+        assert scenario.initial_state == "atom:0"
+        return scenario
+
+    def test_same_steps_and_states(self, scenario, monkeypatch):
+        calls = []
+        field = semiclassical._riccati_field
+        monkeypatch.setattr(
+            semiclassical, "_riccati_field", lambda *args: calls.append(1) or field(*args)
+        )
+        series = self.solve(scenario)
+        monkeypatch.undo()
+        sol, states, t_events = self.scipy_solve(scenario, semiclassical.POLE_GUARD_F)
+        assert sol.status == 0 and t_events == []
+        assert len(calls) == sol.nfev
+        np.testing.assert_array_equal(series.times, sol.t)
+        assert np.abs(series.states - states).max() < 1e-11
+
+    def test_same_pole_and_partial_grid(self, scenario):
+        with pytest.raises(RiccatiPoleError) as excinfo:
+            self.solve(scenario, f_max=10.0)
+        err = excinfo.value
+        sol, states, [t_event] = self.scipy_solve(scenario, 10.0)
+        assert sol.status == 1
+        assert abs(err.t_pole - t_event) < 1e-9
+        assert err.partial.times.size == sol.t.size
+        assert np.abs(err.partial.states - states).max() < 1e-11
 
 
 class TestDriveParams:

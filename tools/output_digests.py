@@ -9,14 +9,26 @@ Diff the output of two checkouts to see whether a change keeps every
 output, or every numeric row, byte for byte:
 
     python3 tools/output_digests.py > digests.txt
+
+`--keep DIR` copies every CSV to `DIR/<workload>-<seed>/<file>`.
+`--against DIR` reads the CSVs that an earlier `--keep DIR` left there and,
+for each file whose rows digest differs from its copy's, prints the
+largest absolute difference of the numeric rows:
+
+    python3 tools/output_digests.py --keep /tmp/before    # on the old checkout
+    python3 tools/output_digests.py --against /tmp/before # on the new one
 """
 
+import argparse
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmarks"))
@@ -25,6 +37,25 @@ import workloads  # noqa: E402
 SEEDS = (0, 7)
 THREADS = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **THREADS)
+
+
+def rows(data):
+    return b"".join(line for line in data.splitlines(keepends=True) if not line.startswith(b"#"))
+
+
+def largest_difference(csv, other):
+    a, b = (np.loadtxt(path, delimiter=",", comments="#", ndmin=2) for path in (csv, other))
+    if a.shape != b.shape:
+        return f"row shapes differ: {a.shape} against {b.shape}"
+    return f"largest absolute difference {np.abs(a - b).max():.3g}"
+
+
+parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+parser.add_argument("--keep", type=Path, metavar="DIR", help="copy every CSV under DIR")
+parser.add_argument(
+    "--against", type=Path, metavar="DIR", help="compare the numeric rows with the CSVs kept in DIR"
+)
+args = parser.parse_args()
 
 with tempfile.TemporaryDirectory() as tmp:
     for workload in workloads.WORKLOADS:
@@ -39,8 +70,14 @@ with tempfile.TemporaryDirectory() as tmp:
                 subprocess.run(argv, env=ENV, check=True, stdout=subprocess.DEVNULL)
             for csv in sorted(out.glob("*.csv")):
                 data = csv.read_bytes()
-                rows = b"".join(
-                    line for line in data.splitlines(keepends=True) if not line.startswith(b"#")
-                )
-                digests = (hashlib.sha256(blob).hexdigest() for blob in (data, rows))
+                digests = (hashlib.sha256(blob).hexdigest() for blob in (data, rows(data)))
                 print(f"{'  '.join(digests)}  {name}/{csv.name}")
+                if args.keep:
+                    (args.keep / name).mkdir(parents=True, exist_ok=True)
+                    shutil.copyfile(csv, args.keep / name / csv.name)
+                if args.against:
+                    other = args.against / name / csv.name
+                    if not other.exists():
+                        print(f"  {name}/{csv.name}: no copy in {args.against}")
+                    elif rows(other.read_bytes()) != rows(data):
+                        print(f"  {name}/{csv.name}: {largest_difference(csv, other)}")
