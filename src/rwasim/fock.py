@@ -78,8 +78,8 @@ def commutation_defect(dim):
     return ops.a @ ops.a_dag - ops.a_dag @ ops.a - np.eye(dim, dtype=complex)
 
 
-def top_level_population(state, dim, levels=2):
-    """Population of the top `levels` Fock levels of a joint (2*dim) or bare
+def top_level_population(state, dim):
+    """Population of the top two Fock levels of a joint (2*dim) or bare
     (dim) state vector; used as the truncation-leakage monitor.
 
     A 2-D stack of states, one per row, gives an array with one value per
@@ -94,5 +94,5 @@ def top_level_population(state, dim, levels=2):
         per_level = pops[..., :dim] + pops[..., dim:]
     else:
         raise ValueError(f"state of length {length} does not match truncation {dim}")
-    top = per_level[..., dim - levels :].sum(axis=-1)
+    top = per_level[..., dim - 2 :].sum(axis=-1)
     return float(top) if state.ndim == 1 else top

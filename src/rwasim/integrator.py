@@ -54,15 +54,12 @@ class IntegratorConfig:
     rel_tol, abs_tol : adaptive error control of rk45-adaptive; rel_tol also
         sets the Magnus step of `propagate_periodic`, which ignores method
         and abs_tol
-    renormalize : if True, divide every sample by its norm and flag the run;
-        off by default so norm drift stays observable
     """
 
     method: str = "rk45-adaptive"
     dt: float = 0.1
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
-    renormalize: bool = False
 
     def __post_init__(self):
         if self.method not in ("rk4-fixed", "rk45-adaptive"):
@@ -75,20 +72,23 @@ class IntegratorConfig:
 
 @dataclass
 class TimeSeries:
-    """Sampled trajectory: strictly increasing times, one state row per time."""
+    """Sampled trajectory: strictly increasing times, one state row per time.
+
+    `norms` is the norm of each state row, so no producer can hide norm
+    drift; `flags` starts empty and producers add to it.
+    """
 
     times: np.ndarray
     states: np.ndarray
-    norms: np.ndarray = None  # the norm of each state row, if not given
-    flags: set = field(default_factory=set)
+    norms: np.ndarray = field(init=False)
+    flags: set = field(init=False, default_factory=set)
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
         if self.states.shape[0] != self.times.shape[0]:
             raise ValueError("one state per sample required")
-        if self.norms is None:
-            self.norms = np.linalg.norm(self.states, axis=1)
+        self.norms = np.linalg.norm(self.states, axis=1)
 
 
 def sample_grid(t0, t1, dt):
@@ -135,9 +135,9 @@ def integrate(h_of_t, psi0, t0, t1, cfg):
     """Propagate psi0 from t0 to t1 under H(t) = h_of_t(t).
 
     Returns a TimeSeries sampled every cfg.dt (plus the endpoint). The
-    Hamiltonian is verified Hermitian on every evaluation; with
-    renormalize=False the final norm staying within 1e-8 of 1 is the
-    contract that the step size was adequate.
+    Hamiltonian is verified Hermitian on every evaluation; the final norm
+    staying within 1e-8 of 1 is the contract that the step size was
+    adequate.
     """
     psi = _initial_state(psi0)
     if not t1 > t0:
@@ -152,7 +152,7 @@ def integrate(h_of_t, psi0, t0, t1, cfg):
         states[0] = psi
         for i in range(1, ts.size):
             states[i] = _rk4_step(h, ts[i - 1], states[i - 1], ts[i] - ts[i - 1])
-        return _series(ts, states, cfg)
+        return TimeSeries(ts, states)
 
     # imported here: scipy.integrate takes longer to import than most runs
     # take to solve, and only this oracle needs it
@@ -169,7 +169,7 @@ def integrate(h_of_t, psi0, t0, t1, cfg):
     )
     if sol.status != 0:
         raise StiffnessError(f"adaptive integration failed: {sol.message}")
-    return _series(ts, sol.y.T, cfg)
+    return TimeSeries(ts, sol.y.T)
 
 
 def propagate_periodic(h_of_t, period, psi0, times, cfg):
@@ -218,7 +218,7 @@ def propagate_periodic(h_of_t, period, psi0, times, cfg):
         state = np.linalg.matrix_power(fundamental[-1], target - reached) @ state
         powers[k], reached = state, target
     states = np.einsum("kij,kj->ki", fundamental[index], powers[which])
-    return _series(times.copy(), states, cfg)
+    return TimeSeries(times.copy(), states)
 
 
 def _magnus(h, nodes, rel_tol):
@@ -308,15 +308,6 @@ def _initial_state(psi0):
     if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
         raise ValueError("initial state must be normalized")
     return psi
-
-
-def _series(ts, states, cfg):
-    if not cfg.renormalize:
-        return TimeSeries(ts, states)
-    # the equation is linear, so dividing each sample by its norm gives the
-    # states that renormalizing and carrying the state on would give
-    states = states / np.linalg.norm(states, axis=1)[:, None]
-    return TimeSeries(ts, states, flags={"renormalized"})
 
 
 def observable_series(ts, obs):

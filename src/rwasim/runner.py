@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import ScenarioError, SimulationError
+from .errors import RiccatiPoleError, ScenarioError, SimulationError
 from .fock import top_level_population
 from .integrator import (
     MAX_STATE_ENTRIES,
@@ -229,12 +229,14 @@ class Scenario:
             outputs = list(valid)
         if not isinstance(outputs, (list, tuple)) or not all(isinstance(o, str) for o in outputs):
             raise ScenarioError("expected a list of observable names", "outputs")
-        for o in outputs:
+        for k, o in enumerate(outputs):
             if o not in valid:
                 raise ScenarioError(
                     f"unknown observable {o!r} for model {model}; valid: {', '.join(valid)}",
                     "outputs",
                 )
+            if o in outputs[:k]:
+                raise ScenarioError(f"{o!r} is listed twice", "outputs")
 
         if "initial_state" not in raw:
             raise ScenarioError("required", "initial_state")
@@ -300,16 +302,16 @@ def _parse_initial_state(spec, params):
     # dimension of 1, so a two-level state is the atom slot alone
     dim = 2 * params.dim
     if isinstance(spec, str):
-        atom = None
-        fock = 0
+        given = {}
         for token in spec.split():
             key, _, val = token.partition(":")
-            if key == "atom":
-                atom = _as_int(val, "initial_state")
-            elif key == "fock":
-                fock = _as_int(val, "initial_state")
-            else:
+            if key not in ("atom", "fock"):
                 raise ScenarioError(f"unknown token {token!r}", "initial_state")
+            if key in given:
+                raise ScenarioError(f"{key!r} is given twice", "initial_state")
+            given[key] = _as_int(val, "initial_state")
+        atom = given.get("atom")
+        fock = given.get("fock", 0)
         if atom not in (0, 1):
             raise ScenarioError("atom slot must be 0 or 1", "initial_state")
         if fock and params.dim == 1:
@@ -365,17 +367,33 @@ def run_scenario(scenario):
     """Execute one scenario and attach the requested observable columns.
 
     RiccatiPoleError raised by the semiclassical-riccati pathway propagates
-    to the caller with the partial trajectory attached.
+    to the caller with the partial trajectory attached, cut before its first
+    row whose norm is not finite. A full run with such a row is a
+    SimulationError.
     """
     spec = MODELS[scenario.model]
-    # an overflow is reported by the finite-state check below, not by warnings
+    # an overflow is reported by the finite-norm check below, not by warnings
     with np.errstate(all="ignore"):
-        series = spec.solve(scenario, scenario.initial_vector(), scenario.resolved_t_final())
-    finite = np.isfinite(series.states).all(axis=1)
-    if not finite.all():
-        t_bad = float(series.times[np.argmin(finite)])
+        try:
+            series = spec.solve(scenario, scenario.initial_vector(), scenario.resolved_t_final())
+        except RiccatiPoleError as exc:
+            if exc.partial is not None:
+                k = _finite_rows(exc.partial)
+                exc.partial = TimeSeries(exc.partial.times[:k], exc.partial.states[:k])
+            raise
+    k = _finite_rows(series)
+    if k < series.times.size:
+        t_bad = float(series.times[k])
         raise SimulationError(f"{scenario.model}: the state is not finite from t = {t_bad!r} on")
     return attach_observables(scenario, series)
+
+
+def _finite_rows(series):
+    # the number of rows before the first whose norm is not finite: a NaN or
+    # infinite amplitude makes the norm non-finite, and so does a finite
+    # amplitude whose square overflows, which would put inf in the columns
+    finite = np.isfinite(series.norms)
+    return finite.size if finite.all() else int(np.argmin(finite))
 
 
 def attach_observables(scenario, series):

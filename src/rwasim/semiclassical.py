@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RiccatiPoleError, StiffnessError
-from .integrator import MAX_STATE_ENTRIES, TimeSeries, sample_grid
+from .integrator import MAX_STATE_ENTRIES, IntegratorConfig, TimeSeries, sample_grid
 from .linalg import RESONANCE_TOL, normalize
 
 __all__ = [
@@ -79,19 +79,27 @@ def hamiltonian_full(t, p):
 
     `t` may be an array of times; H then has shape t.shape + (2, 2).
     """
-    c = 2.0 * p.g * np.cos(_drive_phase(np.asarray(t, dtype=float), p))
-    h = np.empty((*c.shape, 2, 2), dtype=complex)
-    h[..., 0, 0] = -0.5 * p.delta
-    h[..., 1, 1] = 0.5 * p.delta
-    h[..., 0, 1] = h[..., 1, 0] = c
-    return h
+    return _two_level(p, 2.0 * p.g * np.cos(_drive_phase(np.asarray(t, dtype=float), p)))
 
 
 def hamiltonian_rwa(t, p):
     """Rotating-wave Hamiltonian: the counter-rotating half of the cosine
-    drive is dropped, leaving g e^{+-i(omega t + phi)} off-diagonals."""
-    e = p.g * np.exp(1j * _drive_phase(t, p))
-    return np.array([[-0.5 * p.delta, e], [np.conj(e), 0.5 * p.delta]], dtype=complex)
+    drive is dropped, leaving g e^{+-i(omega t + phi)} off-diagonals.
+
+    `t` may be an array of times, as for hamiltonian_full.
+    """
+    return _two_level(p, p.g * np.exp(1j * _drive_phase(np.asarray(t, dtype=float), p)))
+
+
+def _two_level(p, coupling):
+    # the stack of -(delta/2) sigma_3 plus `coupling` above the diagonal
+    # and its conjugate below, one matrix per entry of `coupling`
+    h = np.empty((*coupling.shape, 2, 2), dtype=complex)
+    h[..., 0, 0] = -0.5 * p.delta
+    h[..., 1, 1] = 0.5 * p.delta
+    h[..., 0, 1] = coupling
+    h[..., 1, 0] = np.conj(coupling)
+    return h
 
 
 def _frame_phases(t, p):
@@ -215,7 +223,7 @@ def _guard_margins(f, g_fun, f_max, pole_tol):
     return abs(1.0 + 1j * g_fun) - pole_tol, f_max - abs(f)
 
 
-def riccati_rhs(s, t, p, f_max=POLE_GUARD_F, pole_tol=POLE_GUARD_G):
+def riccati_rhs(s, t, p, f_max=POLE_GUARD_F):
     """Time derivative of the disentangling functions.
 
         dF/dt = 2 g cos(omega t + phi) (1 + F^2) + i delta F      (Riccati)
@@ -226,9 +234,9 @@ def riccati_rhs(s, t, p, f_max=POLE_GUARD_F, pole_tol=POLE_GUARD_G):
     e^{-iG tau_3} sigma_- e^{iG tau_3} = e^{iG} sigma_- exactly, sigma_- being
     an eigenvector of the adjoint action of tau_3.
 
-    Raises RiccatiPoleError when |1 + iG| < pole_tol or |F| > f_max.
+    Raises RiccatiPoleError when |1 + iG| < POLE_GUARD_G or |F| > f_max.
     """
-    for margin, reason in zip(_guard_margins(s.f, s.g_fun, f_max, pole_tol), _GUARD_REASONS):
+    for margin, reason in zip(_guard_margins(s.f, s.g_fun, f_max, POLE_GUARD_G), _GUARD_REASONS):
         if margin < 0:
             raise RiccatiPoleError(t, reason=reason)
     df, dg, dh = _riccati_field(t, s.f, s.g_fun, p)
@@ -389,10 +397,9 @@ def solve_beyond_rwa(
     t_final,
     dt,
     psi0,
-    rel_tol=1e-12,
-    abs_tol=1e-12,
+    rel_tol=IntegratorConfig.rel_tol,
+    abs_tol=IntegratorConfig.abs_tol,
     f_max=POLE_GUARD_F,
-    pole_tol=POLE_GUARD_G,
 ):
     """Integrate the disentangling system for the full (non-rotating-wave)
     Hamiltonian and reconstruct psi(t) on a grid of spacing dt.
@@ -430,7 +437,7 @@ def solve_beyond_rwa(
         abs_tol,
         # the guards of riccati_rhs, located on the dense output so the
         # solve can stop at the pole instead of unwinding a raise
-        lambda y: _guard_margins(y[0], y[1], f_max, pole_tol),
+        lambda y: _guard_margins(y[0], y[1], f_max, POLE_GUARD_G),
     )
     states = reconstruct_disentangled(DisentangleState(*np.array(out).T)) @ psi0
     series = TimeSeries(ts[: len(out)].copy(), states)

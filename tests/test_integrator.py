@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,6 @@ class TestObservableSeries:
         ts = TimeSeries(
             times=np.array([0.0, 1.0]),
             states=np.array([[1, 0], [1, 0]], dtype=complex),
-            norms=np.ones(2),
         )
         with pytest.raises(ValueError):
             observable_series(ts, pauli("+"))
@@ -126,27 +127,12 @@ class TestRk4Fixed:
         ts = integrate(lambda t: hamiltonian_full(t, p), KET0, 0.0, 10.0, cfg)
         assert np.abs(ts.norms - 1.0).max() < 1e-8
 
-    def test_renormalize_flags_and_rescales(self):
-        p = DriveParams(delta=1.0, g=0.1, omega=1.0)
-        cfg = IntegratorConfig(method="rk4-fixed", dt=0.05, renormalize=True)
-        ts = integrate(lambda t: hamiltonian_full(t, p), KET0, 0.0, 5.0, cfg)
-        assert "renormalized" in ts.flags
-        assert np.abs(ts.norms - 1.0).max() < 1e-14
-
 
 def test_adaptive_norm_drift_over_long_run():
     p = DriveParams(delta=1.0, g=0.1, omega=1.0)
     cfg = IntegratorConfig(dt=0.1, rel_tol=1e-10, abs_tol=1e-12)
     ts = integrate(lambda t: hamiltonian_rwa(t, p), KET0, 0.0, 100.0, cfg)
     assert np.abs(ts.norms - 1.0).max() < 1e-8
-
-
-def test_adaptive_renormalize_feedback():
-    p = DriveParams(delta=1.0, g=0.1, omega=1.0)
-    cfg = IntegratorConfig(dt=0.5, rel_tol=1e-10, abs_tol=1e-12, renormalize=True)
-    ts = integrate(lambda t: hamiltonian_rwa(t, p), KET0, 0.0, 10.0, cfg)
-    assert "renormalized" in ts.flags
-    assert np.abs(ts.norms - 1.0).max() < 1e-13
 
 
 def test_full_vs_rwa_population_difference_small_coupling():
@@ -162,21 +148,13 @@ def test_full_vs_rwa_population_difference_small_coupling():
 
 
 @pytest.mark.parametrize("method", ["rk4-fixed", "rk45-adaptive"])
-def test_renormalize_is_division_by_norm(method):
-    # coarse settings, so that the norm visibly drifts without renormalizing
+def test_coarse_settings_show_norm_drift(method):
+    # the norm column is the sign that a run's numerics held: at coarse
+    # settings it visibly drifts
     p = DriveParams(delta=1.2, g=0.3, omega=1.0, phi=0.4)
-
-    def run(renormalize):
-        cfg = IntegratorConfig(
-            method=method, dt=0.5, rel_tol=1e-4, abs_tol=1e-6, renormalize=renormalize
-        )
-        return integrate(lambda t: hamiltonian_full(t, p), KET0, 0.0, 20.0, cfg)
-
-    ref, ts = run(False), run(True)
+    cfg = IntegratorConfig(method=method, dt=0.5, rel_tol=1e-4, abs_tol=1e-6)
+    ref = integrate(lambda t: hamiltonian_full(t, p), KET0, 0.0, 20.0, cfg)
     assert np.abs(ref.norms - 1.0).max() > 1e-6
-    assert ts.flags == {"renormalized"}
-    assert np.abs(ts.norms - 1.0).max() < 1e-14
-    assert np.abs(ts.states - ref.states / ref.norms[:, None]).max() < 1e-10
 
 
 def _superposition(seed):
@@ -346,20 +324,13 @@ class TestPropagatePeriodic:
         ts = propagate_periodic(self.h(self.P), 2 * np.pi, psi0, times, self.TIGHT)
         assert np.abs(ts.norms - 1.0).max() <= 1e-11
 
-    def test_renormalize_is_division_by_norm(self):
+    def test_coarse_rel_tol_keeps_norm_to_round_off(self):
         # Magnus steps are unitary: even at a coarse rel_tol the norm drifts
-        # by round-off only, and renormalizing divides by that norm
+        # by round-off only
         p = DriveParams(delta=1.2, g=0.3, omega=1.0, phi=0.4)
-
-        def run(renormalize):
-            cfg = IntegratorConfig(dt=0.5, rel_tol=1e-4, renormalize=renormalize)
-            return propagate_periodic(self.h(p), 2 * np.pi, KET0, sample_grid(0.0, 20.0, 0.5), cfg)
-
-        ref, ts = run(False), run(True)
+        cfg = IntegratorConfig(dt=0.5, rel_tol=1e-4)
+        ref = propagate_periodic(self.h(p), 2 * np.pi, KET0, sample_grid(0.0, 20.0, 0.5), cfg)
         assert np.abs(ref.norms - 1.0).max() < 1e-12
-        assert ts.flags == {"renormalized"}
-        assert np.abs(ts.norms - 1.0).max() < 1e-14
-        assert np.abs(ts.states - ref.states / ref.norms[:, None]).max() < 1e-10
 
 
 class TestValidation:
@@ -383,6 +354,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             integrate(lambda t: pauli(3).astype(complex), KET0, 1.0, 0.5, cfg)
 
+    def test_config_holds_four_settings(self):
+        assert [f.name for f in fields(IntegratorConfig)] == ["method", "dt", "rel_tol", "abs_tol"]
+
     def test_bad_config(self):
         with pytest.raises(ValueError):
             IntegratorConfig(method="euler")
@@ -404,12 +378,15 @@ def test_timeseries_requires_increasing_times():
         TimeSeries(
             times=np.array([0.0, 0.0]),
             states=np.zeros((2, 2), dtype=complex),
-            norms=np.zeros(2),
         )
 
 
-def test_timeseries_derives_row_norms_unless_given():
+def test_timeseries_derives_row_norms():
     states = np.array([[3.0, 4.0j], [0.0, 2.0], [1.0j, 0.0]])
     np.testing.assert_array_equal(TimeSeries(np.arange(3.0), states).norms, [5.0, 2.0, 1.0])
-    explicit = np.full(3, 7.0)
-    assert TimeSeries(np.arange(3.0), states, norms=explicit).norms is explicit
+
+
+@pytest.mark.parametrize("given", [{"norms": np.ones(2)}, {"flags": {"riccati_pole"}}])
+def test_timeseries_takes_only_times_and_states(given):
+    with pytest.raises(TypeError):
+        TimeSeries(np.arange(2.0), np.eye(2, dtype=complex), **given)

@@ -348,8 +348,7 @@ class TestCompare:
 
         def random_run():
             states = rng.normal(size=(50, 16)) + 1j * rng.normal(size=(50, 16))
-            norms = np.linalg.norm(states, axis=1)
-            return RunResult(scenario, TimeSeries(times=times, states=states, norms=norms))
+            return RunResult(scenario, TimeSeries(times=times, states=states))
 
         a, b = random_run(), random_run()
         per_row = [
@@ -455,7 +454,6 @@ class TestCli:
         partial = TimeSeries(
             times=np.array([0.0, 0.1]),
             states=np.array([[1, 0], [1, 0]], dtype=complex),
-            norms=np.ones(2),
         )
 
         def fail(scenario):
@@ -651,6 +649,8 @@ class TestCli:
             ({"initial_state": [1e308, 1e308]}, "initial_state: the norm of the state vector"),
             ({"outputs": "p0"}, "outputs: expected a list of observable names"),
             ({"initial_state": "atom:0 spin:1"}, "initial_state: unknown token 'spin:1'"),
+            ({"initial_state": "atom:0 atom:1"}, "initial_state: 'atom' is given twice"),
+            ({"outputs": ["p0", "p0", "p1"]}, "outputs: 'p0' is listed twice"),
             ({"initial_state": [1.0, [0.0, 0.0, 0.0]]}, "initial_state: entry 1 must be a number"),
             ({"dt": 1.0e-300}, "dt: 2e+300 samples of dimension 2 exceed"),
             ({"dt": 10**400}, "dt: expected a number, got 1000"),

@@ -1,3 +1,4 @@
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +6,13 @@ import pytest
 
 from rwasim import semiclassical
 from rwasim.errors import RiccatiPoleError, StiffnessError
-from rwasim.integrator import IntegratorConfig, fidelity, integrate, sample_grid
+from rwasim.integrator import (
+    IntegratorConfig,
+    fidelity,
+    integrate,
+    propagate_periodic,
+    sample_grid,
+)
 from rwasim.linalg import expm_series, is_hermitian, is_unitary, pauli
 from rwasim.semiclassical import (
     DisentangleState,
@@ -63,6 +70,21 @@ class TestHamiltonians:
         assert stack.shape == (3, 4, 2, 2)
         for index in np.ndindex(times.shape):
             np.testing.assert_array_equal(stack[index], hamiltonian_full(float(times[index]), p))
+
+    def test_rwa_broadcasts_over_times(self):
+        p = DriveParams(delta=1.3, g=0.2, omega=1.1, phi=0.7)
+        times = np.linspace(0.0, 9.0, 12).reshape(3, 4)
+        stack = hamiltonian_rwa(times, p)
+        assert stack.shape == (3, 4, 2, 2)
+        for index in np.ndindex(times.shape):
+            np.testing.assert_array_equal(stack[index], hamiltonian_rwa(float(times[index]), p))
+
+    def test_rwa_scalar_is_the_textbook_matrix(self):
+        p = DriveParams(delta=1.3, g=0.2, omega=1.1, phi=0.7)
+        for t in (0.0, 1.7, -4.2, 100.3):
+            e = p.g * np.exp(1j * (p.omega * t + p.phi))
+            textbook = np.array([[-0.5 * p.delta, e], [np.conj(e), 0.5 * p.delta]])
+            np.testing.assert_array_equal(hamiltonian_rwa(t, p), textbook)
 
     def test_rwa_at_phase_zero(self):
         p = DriveParams(delta=1.0, g=0.2, omega=1.0, phi=0.0)
@@ -211,6 +233,18 @@ class TestExactRwaTrajectory:
         # same equation with the same initial state
         assert np.abs(exact.states - num.states).max() < 1e-9
 
+    def test_matches_floquet_magnus_propagation(self):
+        # an oracle that shares no code with the closed form: one period of
+        # Magnus steps of the RWA Hamiltonian and Floquet powers of it
+        p = DriveParams(1.3, 0.1, 1.0, 0.7)
+        psi0 = np.array([0.6, 0.8j])
+        ts = sample_grid(0.0, 40.5 * 2 * np.pi, 0.1)
+        exact = propagate_rwa_exact(p, psi0, ts)
+        floquet = propagate_periodic(
+            lambda t: hamiltonian_rwa(t, p), 2 * np.pi / p.omega, psi0, ts, IntegratorConfig()
+        )
+        assert np.abs(exact.states - floquet.states).max() < 1e-10
+
     def test_matches_per_sample_composition(self):
         rng = np.random.default_rng(5)
         p = DriveParams(delta=1.4, g=0.2, omega=1.0, phi=0.9)
@@ -309,6 +343,13 @@ class TestReconstruction:
 
 
 class TestBeyondRwa:
+    def test_tolerances_default_to_the_integrator_config(self):
+        defaults = inspect.signature(solve_beyond_rwa).parameters
+        assert defaults["rel_tol"].default == IntegratorConfig().rel_tol
+        assert defaults["abs_tol"].default == IntegratorConfig().abs_tol
+        assert "pole_tol" not in defaults
+        assert "pole_tol" not in inspect.signature(riccati_rhs).parameters
+
     def test_drive_off_reduces_to_free_evolution(self):
         p = DriveParams(delta=1.3, g=0.0, omega=1.0)
         series = solve_beyond_rwa(p, 10.0, 0.25, KET1)

@@ -13,7 +13,9 @@ output, or every numeric row, byte for byte:
 `--keep DIR` copies every CSV to `DIR/<workload>-<seed>/<file>`.
 `--against DIR` reads the CSVs that an earlier `--keep DIR` left there and,
 for each file whose rows digest differs from its copy's, prints the
-largest absolute difference of the numeric rows:
+largest absolute difference of the numeric rows. Its last line reads
+`rows identical: N of M`, and it exits 1 unless every file has a copy with
+the same rows:
 
     python3 tools/output_digests.py --keep /tmp/before    # on the old checkout
     python3 tools/output_digests.py --against /tmp/before # on the new one
@@ -57,6 +59,7 @@ parser.add_argument(
 )
 args = parser.parse_args()
 
+identical = total = 0
 with tempfile.TemporaryDirectory() as tmp:
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
@@ -76,8 +79,15 @@ with tempfile.TemporaryDirectory() as tmp:
                     (args.keep / name).mkdir(parents=True, exist_ok=True)
                     shutil.copyfile(csv, args.keep / name / csv.name)
                 if args.against:
+                    total += 1
                     other = args.against / name / csv.name
                     if not other.exists():
                         print(f"  {name}/{csv.name}: no copy in {args.against}")
                     elif rows(other.read_bytes()) != rows(data):
                         print(f"  {name}/{csv.name}: {largest_difference(csv, other)}")
+                    else:
+                        identical += 1
+
+if args.against:
+    print(f"rows identical: {identical} of {total}")
+    sys.exit(0 if identical == total else 1)
