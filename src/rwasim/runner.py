@@ -39,7 +39,6 @@ from .semiclassical import DriveParams, hamiltonian_full, propagate_rwa_exact, s
 
 __all__ = [
     "MODELS",
-    "PARTNER_MODEL",
     "Scenario",
     "RunResult",
     "ComparisonReport",
@@ -58,15 +57,17 @@ __all__ = [
 @dataclass(frozen=True)
 class ModelSpec:
     """One solver pathway: its params dataclass, its observable columns, the
-    model `sweep` compares it against, the `# solver:` header label and
+    model `sweep` compares it against, the `# solver:` header label,
     `solve(scenario, psi0, t_final)`, which returns the trajectory as a
-    TimeSeries."""
+    TimeSeries, and the IntegratorConfig fields that solve reads, which are
+    the keys of its `integrator:` block."""
 
     params: type
     observables: tuple
     partner: str
     solver: str
     solve: Callable
+    tolerances: tuple = ()
 
 
 # Each solve names its solver function in its body, so the name is looked up
@@ -87,6 +88,7 @@ MODELS = {
             sample_grid(0.0, t, s.dt),
             s.integrator,
         ),
+        tolerances=("rel_tol",),
     ),
     "semiclassical-rwa": ModelSpec(
         **_DRIVE,
@@ -101,6 +103,7 @@ MODELS = {
         solve=lambda s, psi0, t: solve_beyond_rwa(
             s.params, t, s.dt, psi0, rel_tol=s.integrator.rel_tol, abs_tol=s.integrator.abs_tol
         ),
+        tolerances=("rel_tol", "abs_tol"),
     ),
     "quantum-rabi": ModelSpec(
         **_CAVITY,
@@ -121,10 +124,6 @@ MODELS = {
         solve=lambda s, psi0, t: simulate_jc_analytic(s.params, psi0, t, s.dt),
     ),
 }
-
-# Canonical comparison partner used by `sweep`: each pathway is paired with
-# the one it is meant to be measured against.
-PARTNER_MODEL = {name: spec.partner for name, spec in MODELS.items()}
 
 # Summary statistics of a comparison, in the order the comparison header and
 # the sweep columns list them.
@@ -155,20 +154,15 @@ def _as_int(value, field_path):
     return int(f)
 
 
-def _keys(cls, given):
-    # the keys of a scenario block: the int and float fields of `cls` not given
-    return [f for f in fields(cls) if f.type in (int, float) and f.name not in given]
-
-
-def _build(cls, raw, path, **given):
-    """Parse the scenario block at `path` into dataclass `cls`: each int or
-    float field not `given` is a key taking a finite number, any other field
-    keeps its default, and the dataclass validates the values."""
+def _build(cls, raw, path, keys, **given):
+    """Parse the scenario block at `path` into dataclass `cls`: each field
+    named in `keys` is a key taking a finite number (an integer for an int
+    field), any other field is `given` or keeps its default, and the
+    dataclass validates the values."""
     if not isinstance(raw, dict):
         raise ScenarioError("expected a mapping", path)
-    parsed = _keys(cls, given)
-    _check_keys(raw, {f.name for f in parsed}, path)
-    for f in parsed:
+    _check_keys(raw, set(keys), path)
+    for f in (f for f in fields(cls) if f.name in keys):
         value = raw.get(f.name, None if f.default is MISSING else f.default)
         parse = _as_int if f.type is int else _as_float
         given[f.name] = parse(value, f"{path}.{f.name}")
@@ -201,7 +195,9 @@ class Scenario:
             raise ScenarioError(f"must be one of {', '.join(MODELS)}; got {model!r}", "model")
         spec = MODELS[model]
 
-        params = _build(spec.params, raw.get("params"), "params")
+        params = _build(
+            spec.params, raw.get("params"), "params", [f.name for f in fields(spec.params)]
+        )
         if params.dim > MAX_DIM:
             raise ScenarioError(f"at most {MAX_DIM}, got {params.dim}", "params.dim")
 
@@ -221,7 +217,9 @@ class Scenario:
                 f"{MAX_STATE_ENTRIES} state entries; raise dt or lower t_final",
                 "dt",
             )
-        integ = _build(IntegratorConfig, raw.get("integrator", {}), "integrator", dt=dt)
+        integ = _build(
+            IntegratorConfig, raw.get("integrator", {}), "integrator", spec.tolerances, dt=dt
+        )
 
         outputs = raw.get("outputs")
         valid = spec.observables
@@ -262,10 +260,8 @@ class Scenario:
             "initial_state": self.initial_state,
             "t_final": self.t_final,
             "dt": self.dt,
-            # dt is echoed once, at the top level
-            "integrator": {
-                f.name: getattr(self.integrator, f.name) for f in _keys(IntegratorConfig, {"dt"})
-            },
+            # the tolerances the model reads; dt is echoed once, at the top level
+            "integrator": {k: getattr(self.integrator, k) for k in MODELS[self.model].tolerances},
             "outputs": list(self.outputs),
         }
 
@@ -518,7 +514,8 @@ def sweep_scenario(base, param, values):
 
     `base` is a Scenario; `param` names a field of its params block (or
     't_final'/'dt'). For each value the base model is compared against its
-    partner model (PARTNER_MODEL) with identical settings; one summary row is
+    partner model (`ModelSpec.partner`) with identical settings, of which the
+    partner keeps the tolerances its own solve reads; one summary row is
     returned per value.
     """
     base_dict = base.to_dict()
@@ -531,7 +528,9 @@ def sweep_scenario(base, param, values):
         d = json.loads(json.dumps(base_dict))  # deep copy
         (d["params"] if param in d["params"] else d)[param] = value
         scen_a = Scenario.from_dict(d)
-        scen_b = Scenario.from_dict({**d, "model": PARTNER_MODEL[scen_a.model]})
+        partner = MODELS[scen_a.model].partner
+        integ = {k: v for k, v in d["integrator"].items() if k in MODELS[partner].tolerances}
+        scen_b = Scenario.from_dict({**d, "model": partner, "integrator": integ})
         report = compare_scenarios(scen_a, scen_b)
         rows.append(
             {
@@ -582,7 +581,7 @@ def write_timeseries(result, path, extra_meta=None):
     columns += list(scenario.outputs) + ["norm"]
 
     lines = [
-        "# rwasim-timeseries v2",
+        "# rwasim-timeseries v3",
         f"# scenario: {json.dumps(scenario.to_dict(), sort_keys=True)}",
         f"# config-hash: {scenario.config_hash()}",
         f"# solver: {MODELS[scenario.model].solver}",
@@ -601,7 +600,7 @@ def write_timeseries(result, path, extra_meta=None):
 
 def write_comparison(report, path):
     lines = [
-        "# rwasim-comparison v2",
+        "# rwasim-comparison v3",
         f"# scenario-a: {json.dumps(report.scenario_a, sort_keys=True)}",
         f"# scenario-b: {json.dumps(report.scenario_b, sort_keys=True)}",
         f"# config-hash-a: {report.hash_a}",

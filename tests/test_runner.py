@@ -13,7 +13,6 @@ from rwasim import cli, runner, semiclassical
 from rwasim.errors import RiccatiPoleError, ScenarioError
 from rwasim.integrator import IntegratorConfig, TimeSeries, fidelity
 from rwasim.runner import (
-    PARTNER_MODEL,
     RunResult,
     Scenario,
     compare_results,
@@ -37,6 +36,18 @@ EXTREME_PARAMS = [
     if f.type is float
     for value in (1.0e-300, 1.0e300)
 ]
+
+
+# The IntegratorConfig fields each model's solve reads: the keys of its
+# `integrator:` block and of the block's echo.
+INTEGRATOR_KEYS = {
+    "semiclassical-full": ("rel_tol",),
+    "semiclassical-rwa": (),
+    "semiclassical-riccati": ("rel_tol", "abs_tol"),
+    "quantum-rabi": (),
+    "jaynes-cummings": (),
+    "jc-detuned-analytic": (),
+}
 
 
 def base_semiclassical(**overrides):
@@ -104,7 +115,7 @@ class TestScenarioParsing:
 
     def test_numeric_strings_accepted(self):
         # pyyaml reads bare "1e-10" as a string; tolerate that
-        d = base_semiclassical(integrator={"rel_tol": "1e-10"})
+        d = base_semiclassical(model="semiclassical-riccati", integrator={"rel_tol": "1e-10"})
         assert Scenario.from_dict(d).integrator.rel_tol == 1e-10
 
     def test_integrator_defaults_are_those_of_the_config(self):
@@ -113,13 +124,27 @@ class TestScenarioParsing:
 
     @pytest.mark.parametrize("model", list(runner.MODELS))
     def test_integrator_echo_holds_only_the_tolerances(self, model):
-        # the two settings some run reads; dt is echoed at the top level
+        # the settings the model's run reads; dt is echoed at the top level
         quantum = runner.MODELS[model].params is runner.JCParams
         echo = Scenario.from_dict((base_quantum if quantum else base_semiclassical)(model=model))
-        assert set(echo.to_dict()["integrator"]) == {"abs_tol", "rel_tol"}
+        assert set(echo.to_dict()["integrator"]) == set(runner.MODELS[model].tolerances)
+
+    @pytest.mark.parametrize("key", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("model,tolerances", INTEGRATOR_KEYS.items())
+    def test_integrator_block_takes_the_keys_the_model_reads(self, model, tolerances, key):
+        assert runner.MODELS[model].tolerances == tolerances
+        quantum = runner.MODELS[model].params is runner.JCParams
+        d = (base_quantum if quantum else base_semiclassical)(model=model, integrator={key: 1e-10})
+        if key in tolerances:
+            assert getattr(Scenario.from_dict(d).integrator, key) == 1e-10
+        else:
+            with pytest.raises(ScenarioError, match=rf"^integrator: unknown keys \['{key}'\]$"):
+                Scenario.from_dict(d)
 
     def test_integrator_errors_come_in_field_order(self):
-        d = base_semiclassical(integrator={"abs_tol": "loose", "rel_tol": "tight"})
+        d = base_semiclassical(
+            model="semiclassical-riccati", integrator={"abs_tol": "loose", "rel_tol": "tight"}
+        )
         with pytest.raises(ScenarioError, match="integrator.rel_tol"):
             Scenario.from_dict(d)
 
@@ -237,7 +262,7 @@ class TestRoundTrip:
         echo = (
             '{"dt": 0.1, "initial_state": "atom:0", "integrator": {"abs_tol": 1e-14, '
             '"method": "rk45-adaptive", "rel_tol": 1e-12, "renormalize": false}, '
-            '"model": "semiclassical-rwa", "outputs": ["p0", "p1"], "params": {"delta": 1.0, '
+            '"model": "semiclassical-riccati", "outputs": ["p0", "p1"], "params": {"delta": 1.0, '
             '"g": 0.1, "omega": 1.0, "phi": 0.0}, "t_final": "rabi-period"}'
         )
         path = tmp_path / "old.csv"
@@ -396,19 +421,39 @@ class TestSweep:
 
     def test_detuning_sweep_peak_amplitudes(self):
         # peak transferred population follows g^2 / (g^2 + (detuning/2)^2)
-        base = Scenario.from_dict(
-            base_semiclassical(
-                t_final=70.0, dt=0.05, integrator={"rel_tol": 1e-9, "abs_tol": 1e-11}
-            )
-        )
+        base = Scenario.from_dict(base_semiclassical(t_final=70.0, dt=0.05))
         rows = sweep_scenario(base, "delta", [1.0, 1.1, 1.2])
         g = 0.1
         for row, delta in zip(rows, (1.0, 1.1, 1.2)):
             expected = g**2 / (g**2 + 0.25 * (delta - 1.0) ** 2)
             assert row["peak_p1_a"] == pytest.approx(expected, abs=1e-4)
 
+    def test_riccati_base_hands_its_rel_tol_to_the_full_partner(self):
+        integ = {"rel_tol": 1e-10}
+        spec = base_semiclassical(model="semiclassical-riccati", t_final=10.0, integrator=integ)
+        [row] = sweep_scenario(Scenario.from_dict(spec), "g", [0.1])
+        full = Scenario.from_dict({**spec, "model": "semiclassical-full"})
+        report = compare_results(run_scenario(Scenario.from_dict(spec)), run_scenario(full))
+        assert [row[name] for name in runner.SUMMARY] == [
+            getattr(report, name) for name in runner.SUMMARY
+        ]
+
+    def test_rwa_base_runs_its_partner_at_the_default_rel_tol(self, monkeypatch):
+        ran = []
+
+        def record(scenario):
+            ran.append(scenario)
+            return run_scenario(scenario)
+
+        monkeypatch.setattr(runner, "run_scenario", record)
+        sweep_scenario(Scenario.from_dict(base_semiclassical(t_final=10.0)), "g", [0.1])
+        assert [s.model for s in ran] == ["semiclassical-rwa", "semiclassical-full"]
+        assert ran[1].integrator.rel_tol == IntegratorConfig().rel_tol
+        assert ran[1].to_dict()["integrator"] == {"rel_tol": IntegratorConfig().rel_tol}
+
     def test_partner_mapping_is_total(self):
-        assert set(PARTNER_MODEL) == {
+        assert {spec.partner for spec in runner.MODELS.values()} <= set(runner.MODELS)
+        assert set(runner.MODELS) == {
             "semiclassical-full",
             "semiclassical-rwa",
             "semiclassical-riccati",
