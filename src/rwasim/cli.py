@@ -90,7 +90,7 @@ def _cmd_sweep(args):
     rows = sweep_scenario(scenario, args.param, values)
     out = _out_dir(args) / f"{Path(args.scenario).stem}__sweep__{args.param}.csv"
     with _writing(out):
-        write_sweep(rows, out)
+        write_sweep(rows, out, scenario)
     print(out)
     return EXIT_OK
 

@@ -51,9 +51,10 @@ class IntegratorConfig:
 
     method : "rk4-fixed" or "rk45-adaptive", for `integrate`
     dt     : output sample spacing; the largest rk4-fixed step of `integrate`
-    rel_tol, abs_tol : adaptive error control of rk45-adaptive; rel_tol also
-        sets the Magnus step of `propagate_periodic`, which ignores method
-        and abs_tol
+    rel_tol, abs_tol : adaptive error control of rk45-adaptive and of the
+        Riccati route, which reads both (`solve_beyond_rwa` takes its
+        defaults from here); rel_tol also sets the Magnus step of
+        `propagate_periodic`, which ignores method and abs_tol
     """
 
     method: str = "rk45-adaptive"

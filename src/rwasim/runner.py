@@ -523,15 +523,18 @@ def sweep_scenario(base, param, values):
         raise ScenarioError(
             f"{param!r} is not a numeric scenario parameter", f"params.{param}"
         )
-    rows = []
+    partner = MODELS[base.model].partner
+    integ = {k: v for k, v in base_dict["integrator"].items() if k in MODELS[partner].tolerances}
+    # every pair is parsed before the first is solved, so a bad value costs no solve
+    pairs = []
     for value in values:
         d = json.loads(json.dumps(base_dict))  # deep copy
         (d["params"] if param in d["params"] else d)[param] = value
-        scen_a = Scenario.from_dict(d)
-        partner = MODELS[scen_a.model].partner
-        integ = {k: v for k, v in d["integrator"].items() if k in MODELS[partner].tolerances}
-        scen_b = Scenario.from_dict({**d, "model": partner, "integrator": integ})
-        report = compare_scenarios(scen_a, scen_b)
+        d_b = {**d, "model": partner, "integrator": integ}
+        pairs.append((Scenario.from_dict(d), Scenario.from_dict(d_b)))
+    rows = []
+    for value, pair in zip(values, pairs):
+        report = compare_scenarios(*pair)
         rows.append(
             {
                 "param": param,
@@ -614,10 +617,15 @@ def write_comparison(report, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_sweep(rows, path):
+def write_sweep(rows, path, base):
+    """Write one summary row per swept value; the header echoes the base
+    scenario and names the partner model."""
     cols = ("value", *SUMMARY)
     lines = [
-        "# rwasim-sweep v1",
+        "# rwasim-sweep v2",
+        f"# scenario: {json.dumps(base.to_dict(), sort_keys=True)}",
+        f"# config-hash: {base.config_hash()}",
+        f"# partner: {MODELS[base.model].partner}",
         f"# parameter: {rows[0]['param'] if rows else '-'}",
         f"# versions: {_versions_line()}",
         f"# flags: {';'.join(r['flags'] or '-' for r in rows)}",
@@ -628,7 +636,8 @@ def write_sweep(rows, path):
 
 
 def load_metadata(path):
-    """Parse the scenario echo out of an emitted time-series file."""
+    """Parse the scenario echo out of an emitted time-series or sweep file;
+    a sweep's is its base scenario."""
     for line in Path(path).read_text().splitlines():
         if line.startswith("# scenario: "):
             return Scenario.from_dict(json.loads(line[len("# scenario: ") :]))

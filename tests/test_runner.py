@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -27,6 +28,7 @@ from rwasim.runner import (
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # (shipped scenario, float field of its params, extreme value)
 EXTREME_PARAMS = [
@@ -161,6 +163,20 @@ class TestScenarioParsing:
         d["params"]["g"] = 0.0
         with pytest.raises(ScenarioError, match="rabi-period"):
             Scenario.from_dict(d).resolved_t_final()
+
+
+class TestReadme:
+    @staticmethod
+    def block(language):
+        [text] = re.findall(rf"^```{language}\n(.*?)^```$", README.read_text(), re.M | re.S)
+        return text
+
+    def test_scenario_example_parses_and_echoes_its_integrator_block(self):
+        raw = yaml.safe_load(self.block("yaml"))
+        assert Scenario.from_dict(raw).to_dict()["integrator"] == raw["integrator"]
+
+    def test_python_api_example_runs(self):
+        exec(compile(self.block("python"), str(README), "exec"), {})
 
 
 class TestInitialState:
@@ -451,6 +467,14 @@ class TestSweep:
         assert ran[1].integrator.rel_tol == IntegratorConfig().rel_tol
         assert ran[1].to_dict()["integrator"] == {"rel_tol": IntegratorConfig().rel_tol}
 
+    def test_bad_value_is_rejected_before_any_solve(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(runner, "run_scenario", solves.append)
+        base = Scenario.from_dict(base_quantum(model="quantum-rabi", t_final=2.0))
+        with pytest.raises(ScenarioError, match="params.dim: expected an integer, got 8.5"):
+            sweep_scenario(base, "dim", [8, 8.5])
+        assert solves == []
+
     def test_partner_mapping_is_total(self):
         assert {spec.partner for spec in runner.MODELS.values()} <= set(runner.MODELS)
         assert set(runner.MODELS) == {
@@ -547,6 +571,21 @@ class TestCli:
         assert code == 0
         columns, data = load_table(tmp_path / "scenario__sweep__g.csv")
         assert columns[0] == "value" and data.shape[0] == 2
+
+    def test_sweep_header_echoes_the_base_scenario(self, tmp_path):
+        spec = base_semiclassical(
+            model="semiclassical-riccati", t_final=5.0, integrator={"rel_tol": 1e-10}
+        )
+        path = self.write_scenario(tmp_path, spec)
+        argv = ["sweep", str(path), "--param", "g", "--values", "0.1", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        out = tmp_path / "scenario__sweep__g.csv"
+        base = Scenario.from_dict(spec)
+        assert load_metadata(out) == base
+        header = [line for line in out.read_text().splitlines() if line.startswith("#")]
+        assert header[0] == "# rwasim-sweep v2"
+        assert f"# config-hash: {base.config_hash()}" in header
+        assert "# partner: semiclassical-full" in header
 
     def test_sweep_non_integer_dim_is_config_error(self, tmp_path, capsys):
         path = self.write_scenario(tmp_path, base_quantum(model="quantum-rabi", t_final=2.0))

@@ -13,7 +13,10 @@ output, or every numeric row, byte for byte:
 `--keep DIR` copies every CSV to `DIR/<workload>-<seed>/<file>`.
 `--against DIR` reads the CSVs that an earlier `--keep DIR` left there and,
 for each file whose rows digest differs from its copy's, prints the
-largest absolute difference of the numeric rows. Its last line reads
+largest absolute difference of the numeric rows; for each file whose rows
+match but whose header does not, it prints the keys of the header lines
+that differ (`header differs: rwasim-timeseries, scenario, config-hash`;
+a line's key is its first word after `# `). Its last line reads
 `rows identical: N of M`, and it exits 1 unless every file has a copy with
 the same rows:
 
@@ -24,6 +27,7 @@ the same rows:
 import argparse
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -43,6 +47,18 @@ ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **THREADS)
 
 def rows(data):
     return b"".join(line for line in data.splitlines(keepends=True) if not line.startswith(b"#"))
+
+
+def header(data):
+    # key -> line of each '#' line, the key being the line's first word
+    lines = [line for line in data.decode().splitlines() if line.startswith("#")]
+    return {re.match(r"#\s*([^\s:]*)", line).group(1): line for line in lines}
+
+
+def header_difference(data, other):
+    new, old = header(data), header(other)
+    keys = [key for key in {**new, **old} if new.get(key) != old.get(key)]
+    return f"header differs: {', '.join(keys)}"
 
 
 def largest_difference(csv, other):
@@ -83,10 +99,12 @@ with tempfile.TemporaryDirectory() as tmp:
                     other = args.against / name / csv.name
                     if not other.exists():
                         print(f"  {name}/{csv.name}: no copy in {args.against}")
-                    elif rows(other.read_bytes()) != rows(data):
+                    elif rows(kept := other.read_bytes()) != rows(data):
                         print(f"  {name}/{csv.name}: {largest_difference(csv, other)}")
                     else:
                         identical += 1
+                        if kept != data:
+                            print(f"  {name}/{csv.name}: {header_difference(data, kept)}")
 
 if args.against:
     print(f"rows identical: {identical} of {total}")
