@@ -14,9 +14,14 @@ to psi0 on the whole grid in O(samples * D), the propagators to each basis state
 
 The quantum Rabi Hamiltonian is the Jaynes-Cummings one plus the
 counter-rotating pair g (sigma_+ (x) a_dag + sigma_- (x) a). Both are time
-independent, so the simulators propagate them spectrally from one
-eigendecomposition. The RK45 integrator of rwasim.integrator shares no code
-with that route and serves as its oracle.
+independent and real, and both commute with the parity sigma_3 (x) (-1)^N
+(Braak, PRL 107, 100401, 2011): the joint index s * D + n has parity
+(s + n) mod 2, and ordered by n each parity sector is a real symmetric
+tridiagonal chain. The simulators therefore propagate them spectrally, one
+real eigendecomposition per parity sector that the initial state occupies;
+the other sector stays exactly 0. The RK45 integrator of rwasim.integrator
+and the series exponential of rwasim.linalg share no code with that route
+and serve as its oracles.
 """
 
 from dataclasses import dataclass
@@ -25,7 +30,7 @@ import numpy as np
 
 from .errors import ModelError
 from .fock import LEAKAGE_THRESHOLD, ladder_ops, top_level_population
-from .integrator import _HERMITIAN_TOL, TimeSeries, sample_grid
+from .integrator import TimeSeries, sample_grid
 from .linalg import RESONANCE_TOL, normalize, pauli, tensor_product
 
 __all__ = [
@@ -74,30 +79,41 @@ def hamiltonian_quantum_rabi(p):
     """(Omega/2) sigma_3 (x) 1 + omega 1 (x) N + g (sigma_+ + sigma_-) (x) (a + a_dag).
 
     That is the Jaynes-Cummings Hamiltonian plus the counter-rotating
-    couplings g (sigma_+ (x) a_dag + sigma_- (x) a) that its reduction drops.
+    couplings g (sigma_+ (x) a_dag + sigma_- (x) a) that its reduction drops:
+    g sqrt(n + 1) between (0, n + 1) and (1, n), written into the entries
+    of hamiltonian_jc(p).
     """
-    ops = ladder_ops(p.dim)
-    return hamiltonian_jc(p) + p.g * (
-        tensor_product(pauli("+"), ops.a_dag) + tensor_product(pauli("-"), ops.a)
-    )
+    h = hamiltonian_jc(p)
+    k, coupling = _couplings(p)
+    h[k + 1, p.dim + k] = coupling
+    h[p.dim + k, k + 1] = coupling
+    return h
 
 
 def hamiltonian_jc(p):
     """Jaynes-Cummings Hamiltonian: the quantum Rabi model with the
     counter-rotating couplings removed. Commutes with the excitation
-    operator sigma_3/2 (x) 1 + 1 (x) N."""
-    eye_d = np.eye(p.dim, dtype=complex)
-    return (
-        0.5 * p.big_omega * tensor_product(pauli(3), eye_d)
-        + p.omega * photon_number_operator(p.dim)
-        + _jc_coupling(p)
-    )
+    operator sigma_3/2 (x) 1 + 1 (x) N.
+
+    The entries are written directly: the diagonal +-Omega/2 + omega n and
+    the couplings g sqrt(n + 1) of (0, n) with (1, n + 1), which are those
+    of the Kronecker-product formula bit for bit.
+    """
+    dim = p.dim
+    n = np.arange(dim)
+    h = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    h[n, n] = 0.5 * p.big_omega + p.omega * n
+    h[dim + n, dim + n] = p.omega * n - 0.5 * p.big_omega
+    k, coupling = _couplings(p)
+    h[k, dim + k + 1] = coupling
+    h[dim + k + 1, k] = coupling
+    return h
 
 
-def _jc_coupling(p):
-    # g (sigma_+ (x) a + sigma_- (x) a_dag), the coupling of H_jc and of its rotating frame
-    ops = ladder_ops(p.dim)
-    return p.g * (tensor_product(pauli("+"), ops.a) + tensor_product(pauli("-"), ops.a_dag))
+def _couplings(p):
+    # k = 0 .. dim-2 and g sqrt(k + 1), the weight of a and a_dag between k and k + 1
+    k = np.arange(p.dim - 1)
+    return k, p.g * np.sqrt(k + 1.0)
 
 
 def excitation_operator(dim):
@@ -137,7 +153,10 @@ def jc_rotating_generator(p):
     """Constant generator of the rotating-frame Jaynes-Cummings dynamics:
     [[(Omega-omega)/2, g a], [g a_dag, -(Omega-omega)/2]] blockwise."""
     eye_d = np.eye(p.dim, dtype=complex)
-    return 0.5 * p.detuning * tensor_product(pauli(3), eye_d) + _jc_coupling(p)
+    ops = ladder_ops(p.dim)
+    return 0.5 * p.detuning * tensor_product(pauli(3), eye_d) + p.g * (
+        tensor_product(pauli("+"), ops.a) + tensor_product(pauli("-"), ops.a_dag)
+    )
 
 
 def _jc_block_diagonals(t, p):
@@ -221,33 +240,50 @@ def _monitored_series(ts, states, p):
 
 
 def _simulate(h, p, psi0, t_final, dt):
-    # H is constant: diagonalize it once, H = V diag(E) V^dag, and evaluate
-    # psi(t) = V e^{-iEt} V^dag psi0 on the whole grid in one product
+    # H is constant, real and commutes with the parity sigma_3 (x) (-1)^N, so
+    # each parity sector evolves on its own: diagonalize the real block of a
+    # sector psi0 occupies, B = V diag(E) V^T, and evaluate
+    # psi(t) = V e^{-iEt} V^T psi0 on the whole grid in one product. A sector
+    # psi0 leaves empty stays exactly 0.
     psi0, ts = _prepare(p, psi0, t_final, dt)
-    defect = np.abs(h - h.conj().T).max()
-    if not defect <= _HERMITIAN_TOL:
-        raise ModelError(f"H is not finite and Hermitian within {_HERMITIAN_TOL}")
-    energies, vecs = np.linalg.eigh(h)
-    coeffs = vecs.conj().T @ psi0
-    states = (np.exp(-1j * np.outer(ts, energies)) * coeffs) @ vecs.T
+    # the joint indices s*dim + n of parity (s + n) mod 2 = 0 and 1, in n order,
+    # along which each sector block is a tridiagonal chain
+    n = np.arange(p.dim)
+    even, odd = (((parity + n) % 2) * p.dim + n for parity in (0, 1))
+    if h[np.ix_(even, odd)].any() or h[np.ix_(odd, even)].any() or h.imag.any():
+        raise ModelError("H is not real or does not conserve parity")
+    blocks = [h.real[np.ix_(sel, sel)] for sel in (even, odd)]
+    if not all(np.isfinite(b).all() and (b == b.T).all() for b in blocks):
+        raise ModelError("H is not finite and symmetric within a parity sector")
+    states = np.zeros((ts.size, psi0.size), dtype=complex)
+    for sel, block in zip((even, odd), blocks):
+        if not psi0[sel].any():
+            continue
+        energies, vecs = np.linalg.eigh(block)
+        coeffs = vecs.T @ psi0[sel]
+        states[:, sel] = (np.exp(-1j * np.outer(ts, energies)) * coeffs) @ vecs.T
     return _monitored_series(ts, states, p)
 
 
 def simulate_quantum_rabi(p, psi0, t_final, dt):
     """Full quantum Rabi dynamics from psi0, sampled every dt up to t_final.
 
-    The Hamiltonian is constant, so the trajectory is propagated spectrally
-    from one eigendecomposition; no ODE integrator is involved. The
-    population of the top two Fock levels is monitored over the whole run;
-    if it ever exceeds 1e-8 the returned series carries the
-    truncation_suspect flag.
+    The Hamiltonian is constant and conserves parity, so the trajectory is
+    propagated spectrally from the real eigendecomposition of each parity
+    sector that psi0 occupies; no ODE integrator is involved, and the
+    amplitudes of a sector psi0 leaves empty are exactly 0. A Hamiltonian
+    that is not real, couples the two sectors, or is not finite and
+    symmetric within one raises ModelError. The population of the top two
+    Fock levels is monitored over the whole run; if it ever exceeds 1e-8
+    the returned series carries the truncation_suspect flag.
     """
     return _simulate(hamiltonian_quantum_rabi(p), p, psi0, t_final, dt)
 
 
 def simulate_jaynes_cummings(p, psi0, t_final, dt):
-    """Jaynes-Cummings dynamics, propagated spectrally like
-    simulate_quantum_rabi, with the same truncation-leakage monitoring."""
+    """Jaynes-Cummings dynamics, propagated by parity sectors like
+    simulate_quantum_rabi, with the same checks of H and the same
+    truncation-leakage monitoring."""
     return _simulate(hamiltonian_jc(p), p, psi0, t_final, dt)
 
 

@@ -98,6 +98,20 @@ class TestHamiltonians:
         with pytest.raises(ValueError):
             JCParams(big_omega=1.0, omega=1.0, g=-0.1, dim=4)
 
+    def test_builders_equal_the_kronecker_formula(self):
+        # the builders write the entries directly; the Kronecker-product
+        # formula stays here as their oracle, entry for entry
+        p = JCParams(big_omega=1.3, omega=0.9, g=0.37, dim=16)
+        ops = ladder_ops(p.dim)
+        jc = (
+            0.5 * p.big_omega * tensor_product(pauli(3), np.eye(p.dim, dtype=complex))
+            + p.omega * tensor_product(pauli("I"), ops.n_op)
+            + p.g * (tensor_product(pauli("+"), ops.a) + tensor_product(pauli("-"), ops.a_dag))
+        )
+        rabi = jc + p.g * (tensor_product(pauli("+"), ops.a_dag) + tensor_product(pauli("-"), ops.a))
+        np.testing.assert_array_equal(hamiltonian_jc(p), jc)
+        np.testing.assert_array_equal(hamiltonian_quantum_rabi(p), rabi)
+
 
 class TestFrameTransform:
     def test_identity_at_t0(self):
@@ -353,6 +367,52 @@ class TestSimulation:
         monkeypatch.setattr(quantum, "hamiltonian_quantum_rabi", lambda p: h)
         with pytest.raises(ModelError):
             simulate_quantum_rabi(p, joint_state(0, 0, 4), 1.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "entries,value",
+        [
+            # Hermitian, but couples the two parity sectors
+            ([(0, 1), (1, 0)], 1e-3),
+            # inside the even sector (0, 0) - (1, 1), one triangle only
+            ([(0, 5)], 1e-6),
+            # an infinite coupling (0, 0) - (1, 1)
+            ([(0, 5), (5, 0)], np.inf),
+        ],
+    )
+    def test_rejects_hamiltonian_outside_the_parity_chains(self, monkeypatch, entries, value):
+        p = JCParams(big_omega=1.0, omega=1.0, g=0.1, dim=4)
+        h = hamiltonian_quantum_rabi(p)
+        for entry in entries:
+            h[entry] += value
+        monkeypatch.setattr(quantum, "hamiltonian_quantum_rabi", lambda p: h)
+        with pytest.raises(ModelError):
+            simulate_quantum_rabi(p, joint_state(0, 0, 4), 1.0, 0.1)
+
+    @pytest.mark.parametrize("simulate", [simulate_quantum_rabi, simulate_jaynes_cummings])
+    def test_opposite_parity_stays_exactly_zero(self, simulate):
+        dim = 128
+        p = JCParams(big_omega=1.0, omega=1.0, g=0.1, dim=dim)
+        states = simulate(p, joint_state(0, 0, dim), 20.0, 0.5).states
+        s, n = np.divmod(np.arange(2 * dim), dim)
+        odd = (s + n) % 2 == 1
+        assert (states[:, odd] == 0.0).all()
+        assert (states[:, ~odd] != 0.0).any()
+
+    @pytest.mark.parametrize(
+        "simulate,hamiltonian",
+        [
+            (simulate_quantum_rabi, hamiltonian_quantum_rabi),
+            (simulate_jaynes_cummings, hamiltonian_jc),
+        ],
+    )
+    def test_both_parities_match_series_exponential(self, simulate, hamiltonian):
+        p = JCParams(big_omega=1.2, omega=1.0, g=0.15, dim=48)
+        psi0 = random_state(2 * p.dim, 5)
+        series = simulate(p, psi0, 6.0, 0.5)
+        h = hamiltonian(p)
+        for k in (1, 5, 12):
+            t = series.times[k]
+            assert np.abs(series.states[k] - expm_series(h, -1j * t) @ psi0).max() < 1e-10
 
     @pytest.mark.parametrize("t_final,dt", [(0.0, 0.1), (1.0, 0.0)])
     def test_rejects_empty_grid(self, t_final, dt):

@@ -509,6 +509,12 @@ class TestCli:
         path = self.write_scenario(tmp_path, base_semiclassical(model="nope"))
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
 
+    def test_quantum_rabi_at_dim_512_runs(self, tmp_path):
+        spec = base_quantum(model="quantum-rabi", t_final=10.0, dt=0.1)
+        spec["params"] = dict(spec["params"], dim=512)
+        path = self.write_scenario(tmp_path, spec)
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
+
     def test_strict_escalates_truncation(self, tmp_path):
         spec = base_quantum(model="quantum-rabi", t_final=5.0, dt=0.5)
         spec["params"] = dict(spec["params"], g=0.3, dim=3)
