@@ -17,18 +17,17 @@ counter-rotating pair g (sigma_+ (x) a_dag + sigma_- (x) a). Both are time
 independent and real, and both commute with the parity sigma_3 (x) (-1)^N
 (Braak, PRL 107, 100401, 2011): the joint index s * D + n has parity
 (s + n) mod 2, and ordered by n each parity sector is a real symmetric
-tridiagonal chain. The simulators therefore propagate them spectrally, one
-real eigendecomposition per parity sector that the initial state occupies;
-the other sector stays exactly 0. The RK45 integrator of rwasim.integrator
-and the series exponential of rwasim.linalg share no code with that route
-and serve as its oracles.
+tridiagonal chain. _chains, the one code that knows this layout, builds both
+from the parameters. The builders scatter them into a dense H; the
+simulators diagonalize only the chains the initial state occupies, and the
+RK45 integrator and the series exponential serve as their oracles.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError
 from .fock import LEAKAGE_THRESHOLD, ladder_ops, top_level_population
 from .integrator import TimeSeries, sample_grid
 from .linalg import RESONANCE_TOL, normalize, pauli, tensor_product
@@ -61,6 +60,9 @@ class JCParams:
     dim: int
 
     def __post_init__(self):
+        for name in ("big_omega", "omega", "g"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.big_omega > 0:
             raise ValueError("big_omega must be positive")
         if not self.omega > 0:
@@ -80,40 +82,40 @@ def hamiltonian_quantum_rabi(p):
 
     That is the Jaynes-Cummings Hamiltonian plus the counter-rotating
     couplings g (sigma_+ (x) a_dag + sigma_- (x) a) that its reduction drops:
-    g sqrt(n + 1) between (0, n + 1) and (1, n), written into the entries
-    of hamiltonian_jc(p).
+    g sqrt(n + 1) between (1, n) and (0, n + 1).
     """
-    h = hamiltonian_jc(p)
-    k, coupling = _couplings(p)
-    h[k + 1, p.dim + k] = coupling
-    h[p.dim + k, k + 1] = coupling
-    return h
+    return _dense(p, counter_rotating=True)
 
 
 def hamiltonian_jc(p):
     """Jaynes-Cummings Hamiltonian: the quantum Rabi model with the
     counter-rotating couplings removed. Commutes with the excitation
-    operator sigma_3/2 (x) 1 + 1 (x) N.
-
-    The entries are written directly: the diagonal +-Omega/2 + omega n and
-    the couplings g sqrt(n + 1) of (0, n) with (1, n + 1), which are those
-    of the Kronecker-product formula bit for bit.
+    operator sigma_3/2 (x) 1 + 1 (x) N. Both builders scatter the parity
+    chains into the dense matrix, bit for bit the Kronecker-product formula.
     """
-    dim = p.dim
-    n = np.arange(dim)
-    h = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    h[n, n] = 0.5 * p.big_omega + p.omega * n
-    h[dim + n, dim + n] = p.omega * n - 0.5 * p.big_omega
-    k, coupling = _couplings(p)
-    h[k, dim + k + 1] = coupling
-    h[dim + k + 1, k] = coupling
+    return _dense(p, counter_rotating=False)
+
+
+def _chains(p, counter_rotating):
+    # per parity, even first: the joint indices s*dim + n of parity (s + n) mod 2
+    # in n order, the diagonal +-Omega/2 + omega n and the links g sqrt(n + 1)
+    # from n to n + 1; a link from slot 1 is counter-rotating (sigma_+ a_dag)
+    n = np.arange(p.dim)
+    for parity in (0, 1):
+        slot = (parity + n) % 2
+        diagonal = p.omega * n + np.where(slot == 0, 0.5 * p.big_omega, -0.5 * p.big_omega)
+        links = p.g * np.sqrt(n[1:])
+        if not counter_rotating:
+            links[slot[:-1] == 1] = 0.0
+        yield slot * p.dim + n, diagonal, links
+
+
+def _dense(p, counter_rotating):
+    h = np.zeros((2 * p.dim, 2 * p.dim), dtype=complex)
+    for idx, diagonal, links in _chains(p, counter_rotating):
+        h[idx, idx] = diagonal
+        h[idx[:-1], idx[1:]] = h[idx[1:], idx[:-1]] = links
     return h
-
-
-def _couplings(p):
-    # k = 0 .. dim-2 and g sqrt(k + 1), the weight of a and a_dag between k and k + 1
-    k = np.arange(p.dim - 1)
-    return k, p.g * np.sqrt(k + 1.0)
 
 
 def excitation_operator(dim):
@@ -239,52 +241,42 @@ def _monitored_series(ts, states, p):
     return series
 
 
-def _simulate(h, p, psi0, t_final, dt):
-    # H is constant, real and commutes with the parity sigma_3 (x) (-1)^N, so
-    # each parity sector evolves on its own: diagonalize the real block of a
-    # sector psi0 occupies, B = V diag(E) V^T, and evaluate
-    # psi(t) = V e^{-iEt} V^T psi0 on the whole grid in one product. A sector
-    # psi0 leaves empty stays exactly 0.
+def _simulate(p, counter_rotating, psi0, t_final, dt):
+    # each parity chain evolves on its own: diagonalize the block of a chain
+    # psi0 occupies, B = V diag(E) V^T, and evaluate psi(t) = V e^{-iEt} V^T
+    # psi0 on the whole grid in one product; an empty chain stays exactly 0
     psi0, ts = _prepare(p, psi0, t_final, dt)
-    # the joint indices s*dim + n of parity (s + n) mod 2 = 0 and 1, in n order,
-    # along which each sector block is a tridiagonal chain
-    n = np.arange(p.dim)
-    even, odd = (((parity + n) % 2) * p.dim + n for parity in (0, 1))
-    if h[np.ix_(even, odd)].any() or h[np.ix_(odd, even)].any() or h.imag.any():
-        raise ModelError("H is not real or does not conserve parity")
-    blocks = [h.real[np.ix_(sel, sel)] for sel in (even, odd)]
-    if not all(np.isfinite(b).all() and (b == b.T).all() for b in blocks):
-        raise ModelError("H is not finite and symmetric within a parity sector")
     states = np.zeros((ts.size, psi0.size), dtype=complex)
-    for sel, block in zip((even, odd), blocks):
-        if not psi0[sel].any():
+    k = np.arange(p.dim - 1)
+    for idx, diagonal, links in _chains(p, counter_rotating):
+        if not psi0[idx].any():
             continue
+        block = np.diag(diagonal)
+        block[k, k + 1] = block[k + 1, k] = links
         energies, vecs = np.linalg.eigh(block)
-        coeffs = vecs.T @ psi0[sel]
-        states[:, sel] = (np.exp(-1j * np.outer(ts, energies)) * coeffs) @ vecs.T
+        coeffs = vecs.T @ psi0[idx]
+        states[:, idx] = (np.exp(-1j * np.outer(ts, energies)) * coeffs) @ vecs.T
     return _monitored_series(ts, states, p)
 
 
 def simulate_quantum_rabi(p, psi0, t_final, dt):
     """Full quantum Rabi dynamics from psi0, sampled every dt up to t_final.
 
-    The Hamiltonian is constant and conserves parity, so the trajectory is
-    propagated spectrally from the real eigendecomposition of each parity
-    sector that psi0 occupies; no ODE integrator is involved, and the
-    amplitudes of a sector psi0 leaves empty are exactly 0. A Hamiltonian
-    that is not real, couples the two sectors, or is not finite and
-    symmetric within one raises ModelError. The population of the top two
-    Fock levels is monitored over the whole run; if it ever exceeds 1e-8
-    the returned series carries the truncation_suspect flag.
+    The Hamiltonian is constant and conserves parity, so each parity chain
+    that psi0 occupies is diagonalized as a real tridiagonal block and
+    propagated spectrally; no dense H and no ODE integrator is involved, and
+    a chain psi0 leaves empty stays exactly 0. If the population of the top
+    two Fock levels ever exceeds 1e-8, the series carries the
+    truncation_suspect flag.
     """
-    return _simulate(hamiltonian_quantum_rabi(p), p, psi0, t_final, dt)
+    return _simulate(p, True, psi0, t_final, dt)
 
 
 def simulate_jaynes_cummings(p, psi0, t_final, dt):
-    """Jaynes-Cummings dynamics, propagated by parity sectors like
-    simulate_quantum_rabi, with the same checks of H and the same
+    """Jaynes-Cummings dynamics, propagated by parity chains like
+    simulate_quantum_rabi, with the counter-rotating links 0 and the same
     truncation-leakage monitoring."""
-    return _simulate(hamiltonian_jc(p), p, psi0, t_final, dt)
+    return _simulate(p, False, psi0, t_final, dt)
 
 
 def simulate_jc_analytic(p, psi0, t_final, dt):

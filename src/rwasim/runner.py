@@ -570,9 +570,13 @@ def _versions_line():
     return f"rwasim={__version__} numpy={np.__version__}"
 
 
-def _rows(columns):
-    # the repr of a Python float is the shortest string that reads back to it
-    return [",".join(map(repr, row)) for row in np.column_stack(columns).tolist()]
+def _write(path, header, columns):
+    # one row at a time, so only one row is ever held as Python floats or
+    # text; the repr of a Python float is the shortest that reads back to it
+    with Path(path).open("w") as out:
+        out.writelines(f"{line}\n" for line in header)
+        for row in np.column_stack(columns):
+            out.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def write_timeseries(result, path, extra_meta=None):
@@ -597,8 +601,7 @@ def write_timeseries(result, path, extra_meta=None):
     # a C-ordered complex row viewed as floats is re_0, im_0, re_1, im_1, ...
     amplitudes = np.ascontiguousarray(series.states, dtype=complex).view(float)
     observables = [result.observables[name] for name in scenario.outputs]
-    lines += _rows([series.times, amplitudes, *observables, series.norms])
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, lines, [series.times, amplitudes, *observables, series.norms])
 
 
 def write_comparison(report, path):
@@ -613,8 +616,7 @@ def write_comparison(report, path):
         *(f"# {name}: {float(getattr(report, name))!r}" for name in SUMMARY),
         "# columns: t,fidelity,pop_dev,dp0",
     ]
-    lines += _rows([report.times, report.fidelities, report.pop_devs, report.dp0])
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, lines, [report.times, report.fidelities, report.pop_devs, report.dp0])
 
 
 def write_sweep(rows, path, base):
@@ -631,8 +633,7 @@ def write_sweep(rows, path, base):
         f"# flags: {';'.join(r['flags'] or '-' for r in rows)}",
         f"# columns: {','.join(cols)}",
     ]
-    lines += _rows([[r[c] for r in rows] for c in cols])
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write(path, lines, [[r[c] for r in rows] for c in cols])
 
 
 def load_metadata(path):

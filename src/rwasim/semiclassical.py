@@ -56,6 +56,9 @@ class DriveParams:
     dim = 1
 
     def __post_init__(self):
+        for name in ("delta", "g", "omega", "phi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
         if self.g < 0:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -325,6 +326,23 @@ class TestRoundTrip:
         path = tmp_path / "run.csv"
         write_timeseries(run_scenario(Scenario.from_dict(spec)), path)
         assert f"# solver: {solver}\n" in path.read_text()
+
+    def test_writer_streams_the_rows(self, tmp_path):
+        # the rows are formatted one at a time, so the writer holds little
+        # more than the float64 table, not the whole file as text
+        spec = base_quantum(model="quantum-rabi", t_final=30.0, dt=0.1)
+        spec["params"] = dict(spec["params"], dim=512)
+        result = run_scenario(Scenario.from_dict(spec))
+        path = tmp_path / "run.csv"
+        tracemalloc.start()
+        try:
+            write_timeseries(result, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = load_table(path)[1]
+        assert table.shape == (301, 2 * 1024 + 6)
+        assert peak < 2 * table.nbytes
 
     def test_table_columns(self, tmp_path):
         scenario = Scenario.from_dict(base_semiclassical(t_final=5.0))

@@ -521,6 +521,13 @@ class TestDriveParams:
             DriveParams(delta=1.0, g=-0.1, omega=1.0)
         with pytest.raises(ValueError):
             DriveParams(delta=1.0, g=0.1, omega=0.0)
+        # g = nan and phi = nan pass the sign checks, and the closed form
+        # would return an all-NaN trajectory; every field must be finite
+        for name in ("delta", "g", "omega", "phi"):
+            for value in (np.nan, np.inf, -np.inf):
+                params = {"delta": 1.0, "g": 0.1, "omega": 1.0, "phi": 0.0, name: value}
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    DriveParams(**params)
 
     def test_detuning(self):
         assert DriveParams(delta=1.3, g=0.1, omega=1.0).detuning == pytest.approx(0.3)
