@@ -49,6 +49,7 @@ __all__ = [
     "simulate_jc_analytic",
 ]
 
+
 @dataclass(frozen=True)
 class JCParams:
     """Atom frequency big_omega, field frequency omega, coupling g, and Fock
@@ -71,6 +72,11 @@ class JCParams:
             raise ValueError("g must be non-negative")
         if int(self.dim) != self.dim or self.dim < 2:
             raise ValueError("dim must be an integer >= 2")
+        # the largest entries of H, on the diagonal and on the links
+        if not math.isfinite(self.omega * (self.dim - 1) + 0.5 * self.big_omega):
+            raise ValueError("omega * (dim - 1) + big_omega / 2 must be finite")
+        if not math.isfinite(self.g * math.sqrt(self.dim - 1)):
+            raise ValueError("g * sqrt(dim - 1) must be finite")
 
     @property
     def detuning(self):
@@ -98,23 +104,23 @@ def hamiltonian_jc(p):
 
 def _chains(p, counter_rotating):
     # per parity, even first: the joint indices s*dim + n of parity (s + n) mod 2
-    # in n order, the diagonal +-Omega/2 + omega n and the links g sqrt(n + 1)
-    # from n to n + 1; a link from slot 1 is counter-rotating (sigma_+ a_dag)
+    # in n order and the real tridiagonal block of H on them: the diagonal +-Omega/2
+    # + omega n, and the links g sqrt(n + 1) from n to n + 1, counter-rotating from slot 1
     n = np.arange(p.dim)
     for parity in (0, 1):
         slot = (parity + n) % 2
-        diagonal = p.omega * n + np.where(slot == 0, 0.5 * p.big_omega, -0.5 * p.big_omega)
+        block = np.diag(p.omega * n + np.where(slot == 0, 0.5 * p.big_omega, -0.5 * p.big_omega))
         links = p.g * np.sqrt(n[1:])
         if not counter_rotating:
             links[slot[:-1] == 1] = 0.0
-        yield slot * p.dim + n, diagonal, links
+        block[n[:-1], n[1:]] = block[n[1:], n[:-1]] = links
+        yield slot * p.dim + n, block
 
 
 def _dense(p, counter_rotating):
     h = np.zeros((2 * p.dim, 2 * p.dim), dtype=complex)
-    for idx, diagonal, links in _chains(p, counter_rotating):
-        h[idx, idx] = diagonal
-        h[idx[:-1], idx[1:]] = h[idx[1:], idx[:-1]] = links
+    for idx, block in _chains(p, counter_rotating):
+        h[idx[:, None], idx] = block
     return h
 
 
@@ -247,12 +253,9 @@ def _simulate(p, counter_rotating, psi0, t_final, dt):
     # psi0 on the whole grid in one product; an empty chain stays exactly 0
     psi0, ts = _prepare(p, psi0, t_final, dt)
     states = np.zeros((ts.size, psi0.size), dtype=complex)
-    k = np.arange(p.dim - 1)
-    for idx, diagonal, links in _chains(p, counter_rotating):
+    for idx, block in _chains(p, counter_rotating):
         if not psi0[idx].any():
             continue
-        block = np.diag(diagonal)
-        block[k, k + 1] = block[k + 1, k] = links
         energies, vecs = np.linalg.eigh(block)
         coeffs = vecs.T @ psi0[idx]
         states[:, idx] = (np.exp(-1j * np.outer(ts, energies)) * coeffs) @ vecs.T

@@ -100,10 +100,17 @@ class TestHamiltonians:
             JCParams(big_omega=1.0, omega=1.0, g=-0.1, dim=4)
         # g = nan passes `g < 0`; every float field must be finite
         for name in ("big_omega", "omega", "g"):
-            for value in (np.nan, np.inf):
+            for value in (np.nan, np.inf, -np.inf):
                 params = {"big_omega": 1.0, "omega": 1.0, "g": 0.1, "dim": 4, name: value}
                 with pytest.raises(ValueError, match=f"{name} must be finite"):
                     JCParams(**params)
+        # finite fields whose largest entry of H overflows: omega * 7 + 0.5
+        # and g * sqrt(7) at dim 8; at dim 2 the same values fit
+        with pytest.raises(ValueError, match=r"omega \* \(dim - 1\) \+ big_omega / 2"):
+            JCParams(big_omega=1.0, omega=1.0e308, g=0.1, dim=8)
+        with pytest.raises(ValueError, match=r"g \* sqrt\(dim - 1\)"):
+            JCParams(big_omega=1.0, omega=1.0, g=1.0e308, dim=8)
+        JCParams(big_omega=1.0, omega=1.0e308, g=1.0e308, dim=2)
 
     @pytest.mark.parametrize("dim", [2, 3, 16])
     def test_builders_equal_the_kronecker_formula(self, dim):

@@ -779,6 +779,9 @@ class TestCli:
             ({"dim": 20000}, {}, "params.dim: at most 2048, got 20000"),
             ({"dim": 2048}, {"dt": 0.01}, "dt: 6.29e+03 samples of dimension 4096"),
             ({"g": 0.0}, {}, "t_final: rabi-period requires g > 0"),
+            # finite fields whose largest entry of H overflows at dim 8
+            ({"omega": 1.0e308}, {}, "params: omega * (dim - 1) + big_omega / 2 must be finite"),
+            ({"g": 1.0e308}, {}, "params: g * sqrt(dim - 1) must be finite"),
         ],
     )
     def test_shipped_quantum_scenario_rejected_at_parse(
