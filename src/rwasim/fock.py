@@ -6,6 +6,7 @@ the usual relations hold except [a, a_dag] = 1, whose defect is confined to
 the highest retained level (see commutation_defect).
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,9 @@ LEAKAGE_THRESHOLD = 1e-8
 
 
 def _check_dim(dim):
-    if int(dim) != dim or dim < 2:
-        raise ValueError(f"Fock truncation must be an integer >= 2, got {dim!r}")
+    # chained so that NaN, inf and an integer past the float range fail before int()
+    if not (2 <= dim <= sys.float_info.max and int(dim) == dim):
+        raise ValueError(f"Fock truncation must be an integer >= 2 that a float holds, got {dim!r}")
     return int(dim)
 
 

@@ -67,8 +67,8 @@ class IntegratorConfig:
             raise ValueError(f"unknown integrator method {self.method!r}")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.rel_tol < np.inf and 0 < self.abs_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass
@@ -85,7 +85,7 @@ class TimeSeries:
     flags: set = field(init=False, default_factory=set)
 
     def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
+        if not np.all(np.diff(self.times) > 0):  # negated, so that NaN fails
             raise ValueError("times must be strictly increasing")
         if self.states.shape[0] != self.times.shape[0]:
             raise ValueError("one state per sample required")
@@ -101,6 +101,15 @@ def sample_grid(t0, t1, dt):
     else:
         ts[-1] = t1
     return ts
+
+
+def checked_times(times):
+    """`times` as a float array; ValueError unless it is 1-D and non-empty, from
+    t >= 0 (not NaN) to a finite time. TimeSeries checks that they increase."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not times.size or not times[0] >= 0 or not np.isfinite(times[-1]):
+        raise ValueError("times must be a 1-D grid from t >= 0 to a finite time")
+    return times
 
 
 def _checked_h(h_of_t, dim):
@@ -192,9 +201,7 @@ def propagate_periodic(h_of_t, period, psi0, times, cfg):
     psi = _initial_state(psi0)
     if not period > 0:
         raise ValueError("period must be positive")
-    times = np.asarray(times, dtype=float)
-    if not times.size or not times[0] >= 0:
-        raise ValueError("times must be non-negative")
+    times = checked_times(times)
     n, tau = np.divmod(times, period)
     # negated < so that an infinite count fails too
     if not n.max() < 2.0**63:

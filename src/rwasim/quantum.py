@@ -20,7 +20,8 @@ independent and real, and both commute with the parity sigma_3 (x) (-1)^N
 tridiagonal chain. _chains, the one code that knows this layout, builds both
 from the parameters. The builders scatter them into a dense H; the
 simulators diagonalize only the chains the initial state occupies, and the
-RK45 integrator and the series exponential serve as their oracles.
+RK45 integrator and the series exponential serve as their oracles. Each
+simulator takes psi0, the state at t = 0, and the sample times.
 """
 
 import math
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import LEAKAGE_THRESHOLD, ladder_ops, top_level_population
-from .integrator import TimeSeries, sample_grid
+from .fock import LEAKAGE_THRESHOLD, _check_dim, ladder_ops, top_level_population
+from .integrator import TimeSeries, checked_times
 from .linalg import RESONANCE_TOL, normalize, pauli, tensor_product
 
 __all__ = [
@@ -70,8 +71,7 @@ class JCParams:
             raise ValueError("omega must be positive")
         if self.g < 0:
             raise ValueError("g must be non-negative")
-        if int(self.dim) != self.dim or self.dim < 2:
-            raise ValueError("dim must be an integer >= 2")
+        _check_dim(self.dim)
         # the largest entries of H, on the diagonal and on the links
         if not math.isfinite(self.omega * (self.dim - 1) + 0.5 * self.big_omega):
             raise ValueError("omega * (dim - 1) + big_omega / 2 must be finite")
@@ -229,15 +229,11 @@ def propagator_jc_lab(t, p):
     return _frame_diagonal(t, p).conj()[:, None] * propagator_jc_detuned(t, p)
 
 
-def _prepare(p, psi0, t_final, dt):
+def _prepare(p, psi0, times):
     psi0 = normalize(psi0)
     if psi0.shape[0] != 2 * p.dim:
         raise ValueError(f"initial state must have dimension {2 * p.dim}")
-    if not t_final > 0:
-        raise ValueError("t_final must be positive")
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    return psi0, sample_grid(0.0, t_final, dt)
+    return psi0, checked_times(times)
 
 
 def _monitored_series(ts, states, p):
@@ -247,11 +243,11 @@ def _monitored_series(ts, states, p):
     return series
 
 
-def _simulate(p, counter_rotating, psi0, t_final, dt):
+def _simulate(p, counter_rotating, psi0, times):
     # each parity chain evolves on its own: diagonalize the block of a chain
     # psi0 occupies, B = V diag(E) V^T, and evaluate psi(t) = V e^{-iEt} V^T
     # psi0 on the whole grid in one product; an empty chain stays exactly 0
-    psi0, ts = _prepare(p, psi0, t_final, dt)
+    psi0, ts = _prepare(p, psi0, times)
     states = np.zeros((ts.size, psi0.size), dtype=complex)
     for idx, block in _chains(p, counter_rotating):
         if not psi0[idx].any():
@@ -262,8 +258,8 @@ def _simulate(p, counter_rotating, psi0, t_final, dt):
     return _monitored_series(ts, states, p)
 
 
-def simulate_quantum_rabi(p, psi0, t_final, dt):
-    """Full quantum Rabi dynamics from psi0, sampled every dt up to t_final.
+def simulate_quantum_rabi(p, psi0, times):
+    """Full quantum Rabi dynamics from psi0 at t = 0, sampled at `times`.
 
     The Hamiltonian is constant and conserves parity, so each parity chain
     that psi0 occupies is diagonalized as a real tridiagonal block and
@@ -272,17 +268,17 @@ def simulate_quantum_rabi(p, psi0, t_final, dt):
     two Fock levels ever exceeds 1e-8, the series carries the
     truncation_suspect flag.
     """
-    return _simulate(p, True, psi0, t_final, dt)
+    return _simulate(p, True, psi0, times)
 
 
-def simulate_jaynes_cummings(p, psi0, t_final, dt):
+def simulate_jaynes_cummings(p, psi0, times):
     """Jaynes-Cummings dynamics, propagated by parity chains like
     simulate_quantum_rabi, with the counter-rotating links 0 and the same
     truncation-leakage monitoring."""
-    return _simulate(p, False, psi0, t_final, dt)
+    return _simulate(p, False, psi0, times)
 
 
-def simulate_jc_analytic(p, psi0, t_final, dt):
+def simulate_jc_analytic(p, psi0, times):
     """Jaynes-Cummings dynamics from the closed form: propagator_jc_lab(t, p)
     @ psi0 at every sample, with the same truncation-leakage monitoring as
     simulate_quantum_rabi.
@@ -292,7 +288,7 @@ def simulate_jc_analytic(p, psi0, t_final, dt):
     shifts; no matrix of the truncation is built, and the cost is
     O(samples * dim).
     """
-    psi0, ts = _prepare(p, psi0, t_final, dt)
+    psi0, ts = _prepare(p, psi0, times)
     col = ts[:, None]
     states = _frame_diagonal(col, p).conj() * _jc_rotating(col, p, psi0)
     # + 0.0 turns the -0.0 the closed form gives for exact zeros into 0.0

@@ -58,9 +58,9 @@ __all__ = [
 class ModelSpec:
     """One solver pathway: its params dataclass, its observable columns, the
     model `sweep` compares it against, the `# solver:` header label,
-    `solve(scenario, psi0, t_final)`, which returns the trajectory as a
-    TimeSeries, and the IntegratorConfig fields that solve reads, which are
-    the keys of its `integrator:` block."""
+    `solve(scenario, psi0, times)`, which returns the trajectory from psi0
+    at t = 0 as a TimeSeries sampled at `times`, and the IntegratorConfig
+    fields that solve reads, which are the keys of its `integrator:` block."""
 
     params: type
     observables: tuple
@@ -81,11 +81,11 @@ MODELS = {
         **_DRIVE,
         partner="semiclassical-rwa",
         solver="magnus4-floquet",
-        solve=lambda s, psi0, t: propagate_periodic(
+        solve=lambda s, psi0, times: propagate_periodic(
             partial(hamiltonian_full, p=s.params),
             2.0 * np.pi / s.params.omega,
             psi0,
-            sample_grid(0.0, t, s.dt),
+            times,
             s.integrator,
         ),
         tolerances=("rel_tol",),
@@ -94,14 +94,14 @@ MODELS = {
         **_DRIVE,
         partner="semiclassical-full",
         solver="closed-form",
-        solve=lambda s, psi0, t: propagate_rwa_exact(s.params, psi0, sample_grid(0.0, t, s.dt)),
+        solve=lambda s, psi0, times: propagate_rwa_exact(s.params, psi0, times),
     ),
     "semiclassical-riccati": ModelSpec(
         **_DRIVE,
         partner="semiclassical-full",
         solver="rk45-adaptive",
-        solve=lambda s, psi0, t: solve_beyond_rwa(
-            s.params, t, s.dt, psi0, rel_tol=s.integrator.rel_tol, abs_tol=s.integrator.abs_tol
+        solve=lambda s, psi0, times: solve_beyond_rwa(
+            s.params, psi0, times, s.integrator.rel_tol, s.integrator.abs_tol
         ),
         tolerances=("rel_tol", "abs_tol"),
     ),
@@ -109,19 +109,19 @@ MODELS = {
         **_CAVITY,
         partner="jaynes-cummings",
         solver="spectral",
-        solve=lambda s, psi0, t: simulate_quantum_rabi(s.params, psi0, t, s.dt),
+        solve=lambda s, psi0, times: simulate_quantum_rabi(s.params, psi0, times),
     ),
     "jaynes-cummings": ModelSpec(
         **_CAVITY,
         partner="quantum-rabi",
         solver="spectral",
-        solve=lambda s, psi0, t: simulate_jaynes_cummings(s.params, psi0, t, s.dt),
+        solve=lambda s, psi0, times: simulate_jaynes_cummings(s.params, psi0, times),
     ),
     "jc-detuned-analytic": ModelSpec(
         **_CAVITY,
         partner="jaynes-cummings",
         solver="closed-form",
-        solve=lambda s, psi0, t: simulate_jc_analytic(s.params, psi0, t, s.dt),
+        solve=lambda s, psi0, times: simulate_jc_analytic(s.params, psi0, times),
     ),
 }
 
@@ -209,7 +209,7 @@ class Scenario:
         dt = _as_float(raw.get("dt"), "dt")
         if not dt > 0:
             raise ScenarioError("must be positive", "dt")
-        # an upper bound on len(sample_grid(0, t_final, dt))
+        # an upper bound on the number of sample times of a run
         samples = _resolve_t_final(t_final, params) / dt + 2
         if samples * 2 * params.dim > MAX_STATE_ENTRIES:
             raise ScenarioError(
@@ -367,11 +367,11 @@ def run_scenario(scenario):
     row whose norm is not finite. A full run with such a row is a
     SimulationError.
     """
-    spec = MODELS[scenario.model]
+    times = sample_grid(0.0, scenario.resolved_t_final(), scenario.dt)
     # an overflow is reported by the finite-norm check below, not by warnings
     with np.errstate(all="ignore"):
         try:
-            series = spec.solve(scenario, scenario.initial_vector(), scenario.resolved_t_final())
+            series = MODELS[scenario.model].solve(scenario, scenario.initial_vector(), times)
         except RiccatiPoleError as exc:
             if exc.partial is not None:
                 k = _finite_rows(exc.partial)

@@ -8,7 +8,7 @@ Three solution routes are provided: the full time-dependent Hamiltonian (for
 numerical integration), closed-form rotating-wave propagators, and a
 disentangling ansatz psi(t) = e^{-iF sigma_+} e^{-iG tau_3} e^{-iH sigma_-}
 psi(0) whose F obeys a Riccati equation and captures the dynamics beyond the
-rotating-wave approximation.
+rotating-wave approximation. The trajectory routes take their sample times.
 """
 
 import cmath
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RiccatiPoleError, StiffnessError
-from .integrator import MAX_STATE_ENTRIES, IntegratorConfig, TimeSeries, sample_grid
+from .integrator import MAX_STATE_ENTRIES, IntegratorConfig, TimeSeries, checked_times
 from .linalg import RESONANCE_TOL, normalize
 
 __all__ = [
@@ -191,8 +191,7 @@ def propagate_rwa_exact(p, psi0, times):
     Schroedinger equation exactly (including at t = 0 and for superposition
     initial states).
     """
-    psi0 = normalize(psi0)
-    times = np.asarray(times, dtype=float)
+    psi0, times = normalize(psi0), checked_times(times)
     phi0 = to_rotating_frame(psi0, times[0], p)
     # propagator_rwa_rotating(t - t0) @ phi0 at every sample at once
     rot = _rwa_rotating((times - times[0])[:, None], p, phi0)
@@ -333,8 +332,8 @@ def _crossing(margin, lo, hi):
     return hi
 
 
-def _rk45(fun, y, t_bound, grid, rtol, atol, margins):
-    """Integrate y' = fun(t, y) from t = 0 to t_bound with the steps of
+def _rk45(fun, y, grid, rtol, atol, margins):
+    """Integrate y' = fun(t, y) from t = 0 to grid[-1] with the steps of
     scipy's RK45 at these tolerances, y being a list of complex numbers.
 
     Returns the states at the grid times, from the dense output, and
@@ -342,6 +341,9 @@ def _rk45(fun, y, t_bound, grid, rtol, atol, margins):
     times up to t_stop are sampled), else None. A step attempt whose
     arithmetic overflows counts as a rejected step.
     """
+    t_bound = grid[-1]
+    if not t_bound > 0:  # no step to take, as in scipy
+        return [y] * len(grid), None
     t, f, out = 0.0, fun(0.0, y), []
     try:
         h_abs = _initial_step(fun, y, f, t_bound, rtol, atol)
@@ -397,15 +399,15 @@ def _rk45(fun, y, t_bound, grid, rtol, atol, margins):
 
 def solve_beyond_rwa(
     p,
-    t_final,
-    dt,
     psi0,
+    times,
     rel_tol=IntegratorConfig.rel_tol,
     abs_tol=IntegratorConfig.abs_tol,
     f_max=POLE_GUARD_F,
 ):
     """Integrate the disentangling system for the full (non-rotating-wave)
-    Hamiltonian and reconstruct psi(t) on a grid of spacing dt.
+    Hamiltonian from psi0 at t = 0 and reconstruct psi(t) at `times`; the
+    steps depend on the last time only.
 
     The integration halts at a Riccati pole: RiccatiPoleError is raised with
     the pole time and the trajectory accumulated so far attached. A failure
@@ -413,11 +415,8 @@ def solve_beyond_rwa(
     so does a solve that needs more than MAX_STATE_ENTRIES evaluations of
     the right-hand side.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if not t_final > 0:
-        raise ValueError("t_final must be positive")
-    psi0 = normalize(psi0)
+    IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol)  # checks the tolerances
+    psi0, times = normalize(psi0), checked_times(times)
 
     evals = itertools.count(1)
 
@@ -429,12 +428,10 @@ def solve_beyond_rwa(
             )
         return _riccati_field(t, y[0], y[1], p)
 
-    ts = sample_grid(0.0, t_final, dt)
     out, stop = _rk45(
         rhs,
         [0j, 0j, 0j],
-        t_final,
-        ts.tolist(),
+        times.tolist(),
         # scipy lifts a rel_tol below 100 machine epsilons to that floor
         max(rel_tol, 100 * math.ulp(1.0)),
         abs_tol,
@@ -443,8 +440,9 @@ def solve_beyond_rwa(
         lambda y: _guard_margins(y[0], y[1], f_max, POLE_GUARD_G),
     )
     states = reconstruct_disentangled(DisentangleState(*np.array(out).T)) @ psi0
-    series = TimeSeries(ts[: len(out)].copy(), states)
     if stop is not None:
         t_pole, which = stop
-        raise RiccatiPoleError(t_pole, partial=series, reason=_GUARD_REASONS[which])
-    return series
+        partial = TimeSeries(times[: len(out)].copy(), states)
+        raise RiccatiPoleError(t_pole, partial=partial, reason=_GUARD_REASONS[which])
+    # all the times: a grid that does not increase fails here, not cut short
+    return TimeSeries(times.copy(), states)

@@ -12,7 +12,7 @@ import pytest
 
 from rwasim.errors import RiccatiPoleError
 from rwasim.fock import commutation_defect
-from rwasim.integrator import IntegratorConfig, fidelity, integrate
+from rwasim.integrator import IntegratorConfig, fidelity, integrate, sample_grid
 from rwasim.linalg import (
     commutator,
     expm_series,
@@ -160,7 +160,7 @@ def test_criterion_06_vacuum_rabi_oscillation():
     p = JCParams(big_omega=1.0, omega=1.0, g=0.1, dim=8)
     psi0 = np.zeros(16, dtype=complex)
     psi0[0] = 1.0
-    series = simulate_jaynes_cummings(p, psi0, 2 * np.pi / p.g, 0.2)
+    series = simulate_jaynes_cummings(p, psi0, sample_grid(0.0, 2 * np.pi / p.g, 0.2))
     pops = np.abs(series.states) ** 2
     p_up = pops[:, :8].sum(axis=1)
     n = np.arange(8)
@@ -179,7 +179,7 @@ def test_criterion_06_vacuum_rabi_oscillation():
 def test_criterion_07_beyond_rwa_riccati():
     p = DriveParams(delta=1.0, g=0.05, omega=1.0, phi=0.0)
     try:
-        series = solve_beyond_rwa(p, 50.0, 0.1, KET0)
+        series = solve_beyond_rwa(p, KET0, sample_grid(0.0, 50.0, 0.1))
         pole_note = "no pole crossed"
     except RiccatiPoleError as exc:
         series = exc.partial
@@ -194,7 +194,7 @@ def test_criterion_07_beyond_rwa_riccati():
         worst = max(worst, 1.0 - f)
 
     p_free = DriveParams(delta=1.3, g=0.0, omega=1.0)
-    free = solve_beyond_rwa(p_free, 10.0, 0.25, KET0)
+    free = solve_beyond_rwa(p_free, KET0, sample_grid(0.0, 10.0, 0.25))
     free_err = max(
         np.abs(
             free.states[k] - np.array([np.exp(0.5j * p_free.delta * t), 0.0])
@@ -297,7 +297,7 @@ def test_criterion_10_truncation_nesting():
         p = JCParams(big_omega=1.0, omega=1.0, g=g, dim=dim)
         psi0 = np.zeros(2 * dim, dtype=complex)
         psi0[0] = 1.0
-        runs[dim] = simulate_jaynes_cummings(p, psi0, t_end, 0.2)
+        runs[dim] = simulate_jaynes_cummings(p, psi0, sample_grid(0.0, t_end, 0.2))
     small, big = runs[8], runs[16]
     worst = 0.0
     for k in range(small.times.size):

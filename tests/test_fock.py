@@ -50,6 +50,14 @@ class TestLadderOps:
         with pytest.raises(ValueError):
             ladder_ops(1)
 
+    @pytest.mark.parametrize("dim", [float("inf"), float("nan"), 10**400, 2.5])
+    def test_rejects_non_integer_or_unbounded_dim(self, dim):
+        # inf and integers past the float range raised OverflowError
+        with pytest.raises(ValueError, match="must be an integer >= 2"):
+            ladder_ops(dim)
+        with pytest.raises(ValueError, match="must be an integer >= 2"):
+            number_state(0, dim)
+
 
 class TestNumberState:
     def test_vacuum_vector(self):

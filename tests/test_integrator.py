@@ -362,6 +362,10 @@ class TestValidation:
             IntegratorConfig(method="euler")
         with pytest.raises(ValueError):
             IntegratorConfig(dt=-1.0)
+        for name in ("rel_tol", "abs_tol"):
+            for value in (np.nan, np.inf, 0.0):
+                with pytest.raises(ValueError, match="positive and finite"):
+                    IntegratorConfig(**{name: value})
 
 
 def test_sample_grid_includes_endpoint():

@@ -5,7 +5,13 @@ import pytest
 
 from rwasim import quantum
 from rwasim.fock import ladder_ops, number_state
-from rwasim.integrator import IntegratorConfig, fidelity, integrate, observable_series
+from rwasim.integrator import (
+    IntegratorConfig,
+    fidelity,
+    integrate,
+    observable_series,
+    sample_grid,
+)
 from rwasim.linalg import commutator, expm_series, is_hermitian, is_unitary, pauli, tensor_product
 from rwasim.quantum import (
     JCParams,
@@ -96,6 +102,10 @@ class TestHamiltonians:
             JCParams(big_omega=0.0, omega=1.0, g=0.1, dim=4)
         with pytest.raises(ValueError):
             JCParams(big_omega=1.0, omega=1.0, g=0.1, dim=1)
+        # one dim check with fock: inf and 10**400 raised OverflowError
+        for dim in (float("inf"), float("nan"), 10**400):
+            with pytest.raises(ValueError, match="must be an integer >= 2"):
+                JCParams(big_omega=1.0, omega=1.0, g=0.1, dim=dim)
         with pytest.raises(ValueError):
             JCParams(big_omega=1.0, omega=1.0, g=-0.1, dim=4)
         # g = nan passes `g < 0`; every float field must be finite
@@ -245,13 +255,13 @@ class TestLabFrame:
     def test_whole_grid_closed_form_matches_propagator(self, big_omega, g, dim):
         p = JCParams(big_omega=big_omega, omega=1.0, g=g, dim=dim)
         psi0 = random_state(2 * dim, 29)
-        series = simulate_jc_analytic(p, psi0, 40.0, 0.3)
+        series = simulate_jc_analytic(p, psi0, sample_grid(0.0, 40.0, 0.3))
         assert series.times[-1] == 40.0
         for t, state in zip(series.times, series.states):
             assert np.abs(state - propagator_jc_lab(t, p) @ psi0).max() < 1e-13
         np.testing.assert_allclose(series.norms, 1.0, atol=1e-13)
         # from the vacuum only the three-level truncation reaches its top levels
-        vacuum_run = simulate_jc_analytic(p, joint_state(0, 0, dim), 40.0, 0.3)
+        vacuum_run = simulate_jc_analytic(p, joint_state(0, 0, dim), sample_grid(0.0, 40.0, 0.3))
         assert ("truncation_suspect" in vacuum_run.flags) == (dim == 3)
 
 
@@ -266,7 +276,8 @@ class TestLabFrame:
             psi0 = np.zeros((2, dim), dtype=complex)
             psi0[:, :5] = low
             p = JCParams(big_omega=1.2, omega=1.0, g=0.3, dim=dim)
-            return simulate_jc_analytic(p, psi0.ravel(), 1.0, 0.25).states.reshape(-1, 2, dim)
+            series = simulate_jc_analytic(p, psi0.ravel(), sample_grid(0.0, 1.0, 0.25))
+            return series.states.reshape(-1, 2, dim)
 
         small = run(16)
 
@@ -300,7 +311,8 @@ class TestLabFrame:
     def test_closed_form_writes_no_negative_zero(self):
         # exact zeros of the closed form are 0.0, never -0.0, in every part
         p = JCParams(big_omega=1.3, omega=1.0, g=0.1, dim=6)
-        parts = simulate_jc_analytic(p, joint_state(0, 0, 6), 10.0, 0.1).states.view(float)
+        series = simulate_jc_analytic(p, joint_state(0, 0, 6), sample_grid(0.0, 10.0, 0.1))
+        parts = series.states.view(float)
         zeros = parts[parts == 0.0]
         assert zeros.size > 0
         assert not np.signbit(zeros).any()
@@ -310,7 +322,7 @@ class TestSimulation:
     def test_uncoupled_populations_and_phases(self):
         p = JCParams(big_omega=1.3, omega=1.0, g=0.0, dim=4)
         psi0 = (joint_state(0, 1, 4) + joint_state(1, 2, 4)) / np.sqrt(2)
-        series = simulate_quantum_rabi(p, psi0, 5.0, 0.25)
+        series = simulate_quantum_rabi(p, psi0, sample_grid(0.0, 5.0, 0.25))
         pops = np.abs(series.states) ** 2
         assert np.abs(pops - pops[0]).max() < 1e-10
         # eigenstate phases: e^{-it(+Omega/2 + omega n)} per occupied slot
@@ -323,12 +335,13 @@ class TestSimulation:
 
     def test_norm_conservation(self):
         p = JCParams(big_omega=1.0, omega=1.0, g=0.05, dim=6)
-        series = simulate_quantum_rabi(p, joint_state(0, 0, 6), 60.0, 0.5)
+        series = simulate_quantum_rabi(p, joint_state(0, 0, 6), sample_grid(0.0, 60.0, 0.5))
         assert np.abs(series.norms - 1.0).max() < 1e-8
 
     def test_weak_coupling_tracks_vacuum_oscillation(self):
         p = JCParams(big_omega=1.0, omega=1.0, g=0.02, dim=8)
-        series = simulate_quantum_rabi(p, joint_state(0, 0, 8), 2 * np.pi / p.g, 0.5)
+        times = sample_grid(0.0, 2 * np.pi / p.g, 0.5)
+        series = simulate_quantum_rabi(p, joint_state(0, 0, 8), times)
         proj_up = atom_projector(0, p.dim)
         p_up = np.einsum("ti,ij,tj->t", series.states.conj(), proj_up, series.states).real
         dev = np.abs(p_up - np.cos(p.g * series.times) ** 2).max()
@@ -338,26 +351,28 @@ class TestSimulation:
 
     def test_strong_coupling_flags_truncation(self):
         p = JCParams(big_omega=1.0, omega=1.0, g=0.3, dim=3)
-        series = simulate_quantum_rabi(p, joint_state(0, 0, 3), 20.0, 0.5)
+        series = simulate_quantum_rabi(p, joint_state(0, 0, 3), sample_grid(0.0, 20.0, 0.5))
         assert "truncation_suspect" in series.flags
 
     def test_jc_simulation_conserves_excitation(self):
         p = JCParams(big_omega=1.0, omega=1.0, g=0.1, dim=6)
-        series = simulate_jaynes_cummings(p, joint_state(0, 0, 6), 30.0, 0.5)
+        series = simulate_jaynes_cummings(p, joint_state(0, 0, 6), sample_grid(0.0, 30.0, 0.5))
         exc = excitation_operator(p.dim)
         vals = np.einsum("ti,ij,tj->t", series.states.conj(), exc, series.states).real
         assert np.abs(vals - 0.5).max() < 1e-9
 
     def test_photon_number_mirrors_deexcitation(self):
         p = JCParams(big_omega=1.0, omega=1.0, g=0.1, dim=6)
-        series = simulate_jaynes_cummings(p, joint_state(0, 0, 6), 40.0, 0.5)
+        series = simulate_jaynes_cummings(p, joint_state(0, 0, 6), sample_grid(0.0, 40.0, 0.5))
         vals = observable_series(series, photon_number_operator(p.dim))
         assert np.abs(vals - np.sin(p.g * series.times) ** 2).max() < 1e-8
 
     def test_rejects_wrong_dimension(self):
         p = JCParams(big_omega=1.0, omega=1.0, g=0.1, dim=4)
         with pytest.raises(ValueError):
-            simulate_quantum_rabi(p, np.array([1.0, 0.0], dtype=complex), 1.0, 0.1)
+            simulate_quantum_rabi(
+                p, np.array([1.0, 0.0], dtype=complex), sample_grid(0.0, 1.0, 0.1)
+            )
 
     @pytest.mark.parametrize(
         "simulate,hamiltonian",
@@ -369,7 +384,7 @@ class TestSimulation:
     def test_spectral_matches_rk45_oracle(self, simulate, hamiltonian):
         p = JCParams(big_omega=1.2, omega=1.0, g=0.15, dim=8)
         psi0 = random_state(16, 31)
-        series = simulate(p, psi0, 25.0, 0.5)
+        series = simulate(p, psi0, sample_grid(0.0, 25.0, 0.5))
         cfg = IntegratorConfig(dt=0.5, rel_tol=1e-12, abs_tol=1e-14)
         h = hamiltonian(p)
         oracle = integrate(lambda t: h, psi0, 0.0, 25.0, cfg)
@@ -380,7 +395,7 @@ class TestSimulation:
     def test_opposite_parity_stays_exactly_zero(self, simulate):
         dim = 128
         p = JCParams(big_omega=1.0, omega=1.0, g=0.1, dim=dim)
-        states = simulate(p, joint_state(0, 0, dim), 20.0, 0.5).states
+        states = simulate(p, joint_state(0, 0, dim), sample_grid(0.0, 20.0, 0.5)).states
         s, n = np.divmod(np.arange(2 * dim), dim)
         odd = (s + n) % 2 == 1
         assert (states[:, odd] == 0.0).all()
@@ -396,7 +411,7 @@ class TestSimulation:
     def test_both_parities_match_series_exponential(self, simulate, hamiltonian):
         p = JCParams(big_omega=1.2, omega=1.0, g=0.15, dim=48)
         psi0 = random_state(2 * p.dim, 5)
-        series = simulate(p, psi0, 6.0, 0.5)
+        series = simulate(p, psi0, sample_grid(0.0, 6.0, 0.5))
         h = hamiltonian(p)
         for k in (1, 5, 12):
             t = series.times[k]
@@ -411,15 +426,8 @@ class TestSimulation:
         psi0 = joint_state(0, 0, dim)
         tracemalloc.start()
         try:
-            simulate(p, psi0, 1.0, 0.5)
+            simulate(p, psi0, sample_grid(0.0, 1.0, 0.5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.75 * (2 * dim) ** 2 * 16
-
-    @pytest.mark.parametrize("t_final,dt", [(0.0, 0.1), (1.0, 0.0)])
-    def test_rejects_empty_grid(self, t_final, dt):
-        p = JCParams(big_omega=1.0, omega=1.0, g=0.1, dim=4)
-        for simulate in (simulate_quantum_rabi, simulate_jc_analytic):
-            with pytest.raises(ValueError):
-                simulate(p, joint_state(0, 0, 4), t_final, dt)
