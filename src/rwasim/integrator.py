@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelError, StiffnessError
+from .linalg import normalize
 
 __all__ = [
     "IntegratorConfig",
@@ -110,6 +111,15 @@ def checked_times(times):
     if times.ndim != 1 or not times.size or not times[0] >= 0 or not np.isfinite(times[-1]):
         raise ValueError("times must be a 1-D grid from t >= 0 to a finite time")
     return times
+
+
+def checked_start(p, psi0, times):
+    """Normalized psi0 of shape (2 * p.dim,), the state at t = 0, and a float copy of
+    `times` passing checked_times, or ValueError: every params route's first check."""
+    psi0 = normalize(psi0)
+    if psi0.shape != (2 * p.dim,):
+        raise ValueError(f"initial state must have shape ({2 * p.dim},), got {psi0.shape}")
+    return psi0, checked_times(times).copy()
 
 
 def _checked_h(h_of_t, dim):

@@ -21,7 +21,8 @@ tridiagonal chain. _chains, the one code that knows this layout, builds both
 from the parameters. The builders scatter them into a dense H; the
 simulators diagonalize only the chains the initial state occupies, and the
 RK45 integrator and the series exponential serve as their oracles. Each
-simulator takes psi0, the state at t = 0, and the sample times.
+simulator takes psi0, the state at t = 0, and the sample times, and checks
+both with integrator.checked_start before any work.
 """
 
 import math
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import LEAKAGE_THRESHOLD, _check_dim, ladder_ops, top_level_population
-from .integrator import TimeSeries, checked_times
-from .linalg import RESONANCE_TOL, normalize, pauli, tensor_product
+from .integrator import TimeSeries, checked_start
+from .linalg import RESONANCE_TOL, pauli, tensor_product
 
 __all__ = [
     "JCParams",
@@ -71,7 +72,8 @@ class JCParams:
             raise ValueError("omega must be positive")
         if self.g < 0:
             raise ValueError("g must be non-negative")
-        _check_dim(self.dim)
+        # stored as the int, so that 4.0 or np.int64(4) indexes like 4
+        object.__setattr__(self, "dim", _check_dim(self.dim))
         # the largest entries of H, on the diagonal and on the links
         if not math.isfinite(self.omega * (self.dim - 1) + 0.5 * self.big_omega):
             raise ValueError("omega * (dim - 1) + big_omega / 2 must be finite")
@@ -229,13 +231,6 @@ def propagator_jc_lab(t, p):
     return _frame_diagonal(t, p).conj()[:, None] * propagator_jc_detuned(t, p)
 
 
-def _prepare(p, psi0, times):
-    psi0 = normalize(psi0)
-    if psi0.shape[0] != 2 * p.dim:
-        raise ValueError(f"initial state must have dimension {2 * p.dim}")
-    return psi0, checked_times(times)
-
-
 def _monitored_series(ts, states, p):
     series = TimeSeries(ts, states)
     if top_level_population(states, p.dim).max() > LEAKAGE_THRESHOLD:
@@ -247,7 +242,7 @@ def _simulate(p, counter_rotating, psi0, times):
     # each parity chain evolves on its own: diagonalize the block of a chain
     # psi0 occupies, B = V diag(E) V^T, and evaluate psi(t) = V e^{-iEt} V^T
     # psi0 on the whole grid in one product; an empty chain stays exactly 0
-    psi0, ts = _prepare(p, psi0, times)
+    psi0, ts = checked_start(p, psi0, times)
     states = np.zeros((ts.size, psi0.size), dtype=complex)
     for idx, block in _chains(p, counter_rotating):
         if not psi0[idx].any():
@@ -259,7 +254,8 @@ def _simulate(p, counter_rotating, psi0, times):
 
 
 def simulate_quantum_rabi(p, psi0, times):
-    """Full quantum Rabi dynamics from psi0 at t = 0, sampled at `times`.
+    """Full quantum Rabi dynamics from psi0 at t = 0, of size 2 * dim, sampled
+    at `times`.
 
     The Hamiltonian is constant and conserves parity, so each parity chain
     that psi0 occupies is diagonalized as a real tridiagonal block and
@@ -274,22 +270,21 @@ def simulate_quantum_rabi(p, psi0, times):
 def simulate_jaynes_cummings(p, psi0, times):
     """Jaynes-Cummings dynamics, propagated by parity chains like
     simulate_quantum_rabi, with the counter-rotating links 0 and the same
-    truncation-leakage monitoring."""
+    psi0, times and truncation-leakage monitoring."""
     return _simulate(p, False, psi0, times)
 
 
 def simulate_jc_analytic(p, psi0, times):
     """Jaynes-Cummings dynamics from the closed form: propagator_jc_lab(t, p)
-    @ psi0 at every sample, with the same truncation-leakage monitoring as
-    simulate_quantum_rabi.
+    @ psi0 at every sample, with the same psi0, times and truncation-leakage
+    monitoring as simulate_quantum_rabi.
 
     The diagonals of the closed form and of the frame transform are
     evaluated for the whole grid at once and applied to psi0 and its ladder
     shifts; no matrix of the truncation is built, and the cost is
     O(samples * dim).
     """
-    psi0, ts = _prepare(p, psi0, times)
-    col = ts[:, None]
-    states = _frame_diagonal(col, p).conj() * _jc_rotating(col, p, psi0)
+    psi0, ts = checked_start(p, psi0, times)
+    states = _frame_diagonal(ts[:, None], p).conj() * _jc_rotating(ts[:, None], p, psi0)
     # + 0.0 turns the -0.0 the closed form gives for exact zeros into 0.0
     return _monitored_series(ts, states + 0.0, p)

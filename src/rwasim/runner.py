@@ -550,6 +550,37 @@ def sweep_scenario(base, param, values):
 # file I/O
 
 
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+
+
+class _ScenarioLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, libyaml's where PyYAML was built with it (same
+    mappings, ~5x faster), with a key repeated in one mapping an error; a
+    key a merge (`<<`) brings in may still be overridden."""
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self._checked = set()
+
+    def flatten_mapping(self, node):
+        # a mapping is checked when first flattened: later its merged pairs,
+        # which its own keys override, are in node.value too
+        if id(node) not in self._checked:
+            self._checked.add(id(node))
+            seen = set()
+            for key_node, _ in node.value:
+                # PyYAML itself rejects a collection as a key
+                if not isinstance(key_node, yaml.ScalarNode) or key_node.tag == _MERGE_TAG:
+                    continue
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"duplicate key {key!r}", key_node.start_mark
+                    )
+                seen.add(key)
+        super().flatten_mapping(node)
+
+
 def load_scenario_file(path):
     path = Path(path)
     try:
@@ -557,8 +588,7 @@ def load_scenario_file(path):
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read {path}: {exc}") from None
     try:
-        # libyaml's safe loader where PyYAML was built with it: same mappings, ~5x faster
-        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        raw = yaml.load(text, Loader=_ScenarioLoader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"cannot parse {path}: {exc}") from None
     if raw is None:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RiccatiPoleError, StiffnessError
-from .integrator import MAX_STATE_ENTRIES, IntegratorConfig, TimeSeries, checked_times
-from .linalg import RESONANCE_TOL, normalize
+from .integrator import MAX_STATE_ENTRIES, IntegratorConfig, TimeSeries, checked_start
+from .linalg import RESONANCE_TOL
 
 __all__ = [
     "DriveParams",
@@ -184,18 +184,18 @@ def propagator_rwa_detuned(t, p):
 
 
 def propagate_rwa_exact(p, psi0, times):
-    """Closed-form trajectory of the rotating-wave dynamics from psi0.
+    """Closed-form trajectory of the rotating-wave dynamics from psi0 at t = 0:
+    propagator_rwa_rotating(t) applied to psi0 in the rotating frame, at all
+    of `times` at once. psi0 and `times` are checked by checked_start.
 
     Unlike the phase-stripped propagators this composes the frame transform
     with its exact inverse, so the result solves the rotating-wave
     Schroedinger equation exactly (including at t = 0 and for superposition
     initial states).
     """
-    psi0, times = normalize(psi0), checked_times(times)
-    phi0 = to_rotating_frame(psi0, times[0], p)
-    # propagator_rwa_rotating(t - t0) @ phi0 at every sample at once
-    rot = _rwa_rotating((times - times[0])[:, None], p, phi0)
-    return TimeSeries(times.copy(), from_rotating_frame(rot, times, p))
+    psi0, times = checked_start(p, psi0, times)
+    rot = _rwa_rotating(times[:, None], p, to_rotating_frame(psi0, 0.0, p))
+    return TimeSeries(times, from_rotating_frame(rot, times, p))
 
 
 @dataclass(frozen=True)
@@ -407,7 +407,8 @@ def solve_beyond_rwa(
 ):
     """Integrate the disentangling system for the full (non-rotating-wave)
     Hamiltonian from psi0 at t = 0 and reconstruct psi(t) at `times`; the
-    steps depend on the last time only.
+    steps depend on the last time only. The tolerances, then psi0 and `times`
+    (checked_start), are checked before the first step.
 
     The integration halts at a Riccati pole: RiccatiPoleError is raised with
     the pole time and the trajectory accumulated so far attached. A failure
@@ -416,7 +417,7 @@ def solve_beyond_rwa(
     the right-hand side.
     """
     IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol)  # checks the tolerances
-    psi0, times = normalize(psi0), checked_times(times)
+    psi0, times = checked_start(p, psi0, times)
 
     evals = itertools.count(1)
 
@@ -442,7 +443,7 @@ def solve_beyond_rwa(
     states = reconstruct_disentangled(DisentangleState(*np.array(out).T)) @ psi0
     if stop is not None:
         t_pole, which = stop
-        partial = TimeSeries(times[: len(out)].copy(), states)
+        partial = TimeSeries(times[: len(out)], states)
         raise RiccatiPoleError(t_pole, partial=partial, reason=_GUARD_REASONS[which])
     # all the times: a grid that does not increase fails here, not cut short
-    return TimeSeries(times.copy(), states)
+    return TimeSeries(times, states)

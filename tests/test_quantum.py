@@ -106,6 +106,12 @@ class TestHamiltonians:
         for dim in (float("inf"), float("nan"), 10**400):
             with pytest.raises(ValueError, match="must be an integer >= 2"):
                 JCParams(big_omega=1.0, omega=1.0, g=0.1, dim=dim)
+        # an integral float or numpy integer is stored as the int, which
+        # every route indexes with
+        for dim in (4.0, np.int64(4)):
+            p = JCParams(big_omega=1.0, omega=1.0, g=0.1, dim=dim)
+            assert type(p.dim) is int and p.dim == 4
+            simulate_quantum_rabi(p, joint_state(0, 0, 4), sample_grid(0.0, 1.0, 0.5))
         with pytest.raises(ValueError):
             JCParams(big_omega=1.0, omega=1.0, g=-0.1, dim=4)
         # g = nan passes `g < 0`; every float field must be finite

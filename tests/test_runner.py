@@ -879,6 +879,45 @@ def test_load_scenario_file_yaml(tmp_path):
     assert load_scenario_file(path).model == "semiclassical-rwa"
 
 
+_SCENARIO_HEAD = "model: semiclassical-rwa\ninitial_state: atom:0\nt_final: 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ("params:\n  delta: 1.0\n  g: 0.1\n  omega: 1.0\n  g: 0.3\ndt: 0.1\n", "'g'"),
+        ("params: {delta: 1.0, g: 0.1, omega: 1.0}\ndt: 0.1\ndt: 0.2\n", "'dt'"),
+    ],
+    ids=["g", "dt"],
+)
+def test_repeated_key_is_config_error(tmp_path, capsys, text, key):
+    # YAML alone keeps the last value; a run must not pick one silently
+    path = tmp_path / "s.yaml"
+    path.write_text(_SCENARIO_HEAD + text)
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert f"config error: cannot parse {path}: duplicate key {key}" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "text,params",
+    [
+        # a key of the mapping overrides the one a merge (<<) brings in
+        ("params: {<<: {delta: 1.0, g: 0.1, omega: 1.0}, g: 0.3}\n", (1.0, 0.3, 1.0)),
+        # a mapping merged twice is checked once, before its own merge
+        (
+            "params: {<<: [&b {<<: {delta: 1.0}, delta: 2.0, g: 0.1}, *b], omega: 1.0}\n",
+            (2.0, 0.1, 1.0),
+        ),
+    ],
+    ids=["override", "merged-twice"],
+)
+def test_merge_key_may_be_overridden(tmp_path, text, params):
+    path = tmp_path / "s.yaml"
+    path.write_text(_SCENARIO_HEAD + text + "dt: 0.1\n")
+    assert load_scenario_file(path).params == semiclassical.DriveParams(*params)
+
+
 def _run_in_subprocess(code, timeout=None):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

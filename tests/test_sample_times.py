@@ -1,6 +1,9 @@
-"""Every trajectory route takes the sample times from its caller: the rows at
-a time do not depend on which other times the grid holds, a grid a solve
-cannot sample is a ValueError, and a grid of t = 0 alone gives psi0."""
+"""Every trajectory route takes psi0, the state at t = 0, and the sample times
+from its caller: the rows at a time do not depend on which other times the
+grid holds, also when it does not hold 0, a grid a solve cannot sample or a
+psi0 of the wrong size is a ValueError, and a grid of t = 0 alone gives psi0."""
+
+import time
 
 import numpy as np
 import pytest
@@ -51,17 +54,64 @@ ROUTES = {
 }
 
 
-@pytest.mark.parametrize("route", ROUTES)
-def test_shared_times_give_the_same_rows(route):
+# the routes on a params object, each with the kernel it reaches only after
+# its entry check
+PARAMS_ROUTES = {
+    "quantum-rabi": (simulate_quantum_rabi, JP, "rwasim.quantum._chains"),
+    "jaynes-cummings": (simulate_jaynes_cummings, JP, "rwasim.quantum._chains"),
+    "jc-analytic": (simulate_jc_analytic, JP, "rwasim.quantum._jc_rotating"),
+    "riccati": (solve_beyond_rwa, DP, "rwasim.semiclassical._rk45"),
+    "rwa-exact": (propagate_rwa_exact, DP, "rwasim.semiclassical._rwa_rotating"),
+}
+
+
+def _assert_rows_at(route, picks):
     _, solve, tol = ROUTES[route]
     full = sample_grid(0.0, 10.0, 0.1)
-    # every fourth time, the last one included
-    sub = full[::4]
-    assert sub[-1] == full[-1]
-    expected = solve(full).states[::4]
-    series = solve(sub)
-    np.testing.assert_array_equal(series.times, sub)
+    assert picks[-1] == full.size - 1
+    expected = solve(full).states[picks]
+    series = solve(full[picks])
+    np.testing.assert_array_equal(series.times, full[picks])
     assert np.abs(series.states - expected).max() <= tol
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_shared_times_give_the_same_rows(route):
+    # every fourth time, the last one included
+    _assert_rows_at(route, np.arange(0, 101, 4))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_grid_without_zero_gives_the_same_rows(route):
+    # every fourth time from the second, and the last: psi0 is still the
+    # state at t = 0, not at the first sample
+    _assert_rows_at(route, np.append(np.arange(1, 101, 4), 100))
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("solving began before the entry check")
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [lambda d: (2 * d - 1,), lambda d: (2 * d + 1,), lambda d: (1, 2 * d)],
+    ids=["short", "long", "row"],
+)
+@pytest.mark.parametrize("route", PARAMS_ROUTES)
+def test_rejects_a_wrong_size_state_before_solving(route, shape, monkeypatch):
+    solve, p, kernel = PARAMS_ROUTES[route]
+    monkeypatch.setattr(kernel, _unreachable)
+    with pytest.raises(ValueError, match=rf"initial state must have shape \({2 * p.dim},\)"):
+        solve(p, np.ones(shape(p.dim)), sample_grid(0.0, 1.0, 0.1))
+
+
+def test_riccati_rejects_a_wrong_size_state_at_once():
+    # the solve this would take runs for seconds and ends in StiffnessError
+    p = DriveParams(delta=1.0e3, g=0.05, omega=1.0)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="initial state must have shape"):
+        solve_beyond_rwa(p, np.array([1.0, 0.0, 0.0]), sample_grid(0.0, 50.0, 0.1))
+    assert time.perf_counter() - start < 0.01
 
 
 @pytest.mark.parametrize(
