@@ -97,10 +97,11 @@ def sample_grid(t0, t1, dt):
     """Output grid t0, t0+dt, ... with t1 always included as the last point."""
     n = int(np.floor((t1 - t0) / dt + 1e-12))
     ts = t0 + dt * np.arange(n + 1)
-    if t1 - ts[-1] > 1e-12 * max(1.0, abs(t1)):
-        ts = np.append(ts, t1)
-    else:
+    # a later sample within a round-off of t1 becomes t1; t0 is always kept
+    if n and t1 - ts[-1] <= 1e-9 * dt:
         ts[-1] = t1
+    else:
+        ts = np.append(ts, t1)
     return ts
 
 
@@ -165,9 +166,8 @@ def integrate(h_of_t, psi0, t0, t1, cfg):
     ts = sample_grid(t0, t1, cfg.dt)
     h = _checked_h(h_of_t, psi.size)
     # one fixed step per sample interval for rk4-fixed, the grid spacing
-    # being cfg.dt except possibly a short final interval; a one-point grid
-    # takes no step, and solve_ivp rejects an empty interval
-    if cfg.method == "rk4-fixed" or ts.size == 1:
+    # being cfg.dt except possibly a short final interval
+    if cfg.method == "rk4-fixed":
         states = np.empty((ts.size, psi.size), dtype=complex)
         states[0] = psi
         for i in range(1, ts.size):

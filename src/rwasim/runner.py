@@ -400,17 +400,22 @@ def attach_observables(scenario, series):
     return result
 
 
+def _slots(pops, dim):
+    # atom slots 0 and 1 of the rows of `pops`: joint index slot * dim + n
+    return pops[:, :dim], pops[:, dim:]
+
+
 def _observable_column(name, series, scenario):
     states = series.states
     dim = scenario.params.dim
-    pops = np.abs(states) ** 2
+    slot0, slot1 = _slots(np.abs(states) ** 2, dim)
     if name == "p0":
-        return pops[:, :dim].sum(axis=1)
+        return slot0.sum(axis=1)
     if name == "p1":
-        return pops[:, dim:].sum(axis=1)
+        return slot1.sum(axis=1)
     if name == "n_photon":
         n = np.arange(dim)
-        return pops[:, :dim] @ n + pops[:, dim:] @ n
+        return slot0 @ n + slot1 @ n
     if name == "leakage":
         return top_level_population(states, dim)
     raise ScenarioError(f"unknown observable {name!r}", "outputs")
@@ -454,27 +459,27 @@ def compare_results(a, b):
             f"{b.series.states.shape[1]}"
         )
     times, tb = a.series.times, b.series.times
-    if times.size != tb.size or not np.allclose(times, tb, rtol=0, atol=1e-12):
+    # equal to within a round-off of the spacing; a one-sample grid exactly
+    tol = 1e-9 * np.diff(times).min() if times.size > 1 else 0.0
+    if times.size != tb.size or np.abs(times - tb).max() > tol:
         raise ValueError(
-            f"different time grids: {times.size} samples to t = {times[-1]!r} vs "
-            f"{tb.size} to t = {tb[-1]!r}"
+            f"different time grids: {times.size} samples to t = {float(times[-1])!r} vs "
+            f"{tb.size} to t = {float(tb[-1])!r}"
         )
     flags = set(a.flags) | set(b.flags)
     states_a, states_b = a.series.states, b.series.states
 
     # integrator.fidelity of each pair of normalized rows, in one pass
-    unit_a = states_a / np.linalg.norm(states_a, axis=1, keepdims=True)
-    unit_b = states_b / np.linalg.norm(states_b, axis=1, keepdims=True)
+    unit_a = states_a / a.series.norms[:, None]
+    unit_b = states_b / b.series.norms[:, None]
     fids = np.minimum(np.abs(np.sum(unit_a.conj() * unit_b, axis=1)) ** 2, 1.0)
     pops_a = np.abs(states_a) ** 2
     pops_b = np.abs(states_b) ** 2
     pop_devs = np.abs(pops_a - pops_b).max(axis=1)
 
     k_max = int(np.argmax(pop_devs))
-    dim_half = states_a.shape[1] // 2
-    dp0 = pops_a[:, :dim_half].sum(axis=1) - pops_b[:, :dim_half].sum(axis=1)
-    peak_p1_a = float(pops_a[:, dim_half:].sum(axis=1).max())
-    peak_p1_b = float(pops_b[:, dim_half:].sum(axis=1).max())
+    p0_a, p1_a = (slot.sum(axis=1) for slot in _slots(pops_a, a.scenario.params.dim))
+    p0_b, p1_b = (slot.sum(axis=1) for slot in _slots(pops_b, b.scenario.params.dim))
     return ComparisonReport(
         hash_a=a.scenario.config_hash(),
         hash_b=b.scenario.config_hash(),
@@ -483,13 +488,13 @@ def compare_results(a, b):
         times=times,
         fidelities=fids,
         pop_devs=pop_devs,
-        dp0=dp0,
+        dp0=p0_a - p0_b,
         max_pop_dev=float(pop_devs.max()),
         mean_pop_dev=float(pop_devs.mean()),
         t_of_max_dev=float(times[k_max]),
         min_fidelity=float(fids.min()),
-        peak_p1_a=peak_p1_a,
-        peak_p1_b=peak_p1_b,
+        peak_p1_a=float(p1_a.max()),
+        peak_p1_b=float(p1_b.max()),
         flags=flags,
     )
 
@@ -596,16 +601,18 @@ def load_scenario_file(path):
     return Scenario.from_dict(raw)
 
 
-def _versions_line():
-    return f"rwasim={__version__} numpy={np.__version__}"
+def _provenance(flags):
+    # the versions and flags header pairs that every kind writes, given the flag text
+    return [("versions", f"rwasim={__version__} numpy={np.__version__}"), ("flags", flags)]
 
 
-def _write(path, header, columns):
+def _write(path, kind, meta, table):
     # one row at a time, so only one row is ever held as Python floats or
     # text; the repr of a Python float is the shortest that reads back to it
     with Path(path).open("w") as out:
-        out.writelines(f"{line}\n" for line in header)
-        for row in np.column_stack(columns):
+        out.write(f"# {kind}\n")
+        out.writelines(f"# {k}: {v}\n" for k, v in [*meta, ("columns", ",".join(table))])
+        for row in np.column_stack(list(table.values())):
             out.write(",".join(map(repr, row.tolist())) + "\n")
 
 
@@ -613,57 +620,50 @@ def write_timeseries(result, path, extra_meta=None):
     """Write one run as CSV with a '#' header carrying the full config echo."""
     scenario = result.scenario
     series = result.series
-    dim = series.states.shape[1]
-    columns = ["t", *(f"{part}_{k}" for k in range(dim) for part in ("re", "im"))]
-    columns += list(scenario.outputs) + ["norm"]
-
-    lines = [
-        "# rwasim-timeseries v3",
-        f"# scenario: {json.dumps(scenario.to_dict(), sort_keys=True)}",
-        f"# config-hash: {scenario.config_hash()}",
-        f"# solver: {MODELS[scenario.model].solver}",
-        f"# versions: {_versions_line()}",
-        f"# flags: {','.join(sorted(result.flags)) if result.flags else '-'}",
+    meta = [
+        ("scenario", json.dumps(scenario.to_dict(), sort_keys=True)),
+        ("config-hash", scenario.config_hash()),
+        ("solver", MODELS[scenario.model].solver),
+        *_provenance(",".join(sorted(result.flags)) or "-"),
+        *(extra_meta or {}).items(),
     ]
-    for key, value in (extra_meta or {}).items():
-        lines.append(f"# {key}: {value}")
-    lines.append(f"# columns: {','.join(columns)}")
-    # a C-ordered complex row viewed as floats is re_0, im_0, re_1, im_1, ...
-    amplitudes = np.ascontiguousarray(series.states, dtype=complex).view(float)
-    observables = [result.observables[name] for name in scenario.outputs]
-    _write(path, lines, [series.times, amplitudes, *observables, series.norms])
+    table = {"t": series.times}
+    for k, amplitude in enumerate(series.states.T):
+        table |= {f"re_{k}": amplitude.real, f"im_{k}": amplitude.imag}
+    table |= {name: result.observables[name] for name in scenario.outputs}
+    table["norm"] = series.norms
+    _write(path, "rwasim-timeseries v3", meta, table)
 
 
 def write_comparison(report, path):
-    lines = [
-        "# rwasim-comparison v3",
-        f"# scenario-a: {json.dumps(report.scenario_a, sort_keys=True)}",
-        f"# scenario-b: {json.dumps(report.scenario_b, sort_keys=True)}",
-        f"# config-hash-a: {report.hash_a}",
-        f"# config-hash-b: {report.hash_b}",
-        f"# versions: {_versions_line()}",
-        f"# flags: {','.join(sorted(report.flags)) if report.flags else '-'}",
-        *(f"# {name}: {float(getattr(report, name))!r}" for name in SUMMARY),
-        "# columns: t,fidelity,pop_dev,dp0",
+    meta = [
+        ("scenario-a", json.dumps(report.scenario_a, sort_keys=True)),
+        ("scenario-b", json.dumps(report.scenario_b, sort_keys=True)),
+        ("config-hash-a", report.hash_a),
+        ("config-hash-b", report.hash_b),
+        *_provenance(",".join(sorted(report.flags)) or "-"),
+        *((name, repr(float(getattr(report, name)))) for name in SUMMARY),
     ]
-    _write(path, lines, [report.times, report.fidelities, report.pop_devs, report.dp0])
+    table = {
+        "t": report.times,
+        "fidelity": report.fidelities,
+        "pop_dev": report.pop_devs,
+        "dp0": report.dp0,
+    }
+    _write(path, "rwasim-comparison v3", meta, table)
 
 
 def write_sweep(rows, path, base):
     """Write one summary row per swept value; the header echoes the base
     scenario and names the partner model."""
-    cols = ("value", *SUMMARY)
-    lines = [
-        "# rwasim-sweep v2",
-        f"# scenario: {json.dumps(base.to_dict(), sort_keys=True)}",
-        f"# config-hash: {base.config_hash()}",
-        f"# partner: {MODELS[base.model].partner}",
-        f"# parameter: {rows[0]['param'] if rows else '-'}",
-        f"# versions: {_versions_line()}",
-        f"# flags: {';'.join(r['flags'] or '-' for r in rows)}",
-        f"# columns: {','.join(cols)}",
+    meta = [
+        ("scenario", json.dumps(base.to_dict(), sort_keys=True)),
+        ("config-hash", base.config_hash()),
+        ("partner", MODELS[base.model].partner),
+        ("parameter", rows[0]["param"] if rows else "-"),
+        *_provenance(";".join(r["flags"] or "-" for r in rows)),
     ]
-    _write(path, lines, [[r[c] for r in rows] for c in cols])
+    _write(path, "rwasim-sweep v2", meta, {c: [r[c] for r in rows] for c in ("value", *SUMMARY)})
 
 
 def load_metadata(path):

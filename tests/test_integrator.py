@@ -375,6 +375,12 @@ def test_sample_grid_includes_endpoint():
     assert np.all(np.diff(ts) > 0)
     exact = sample_grid(0.0, 1.0, 0.25)
     assert exact.size == 5 and exact[-1] == 1.0
+    # a grid shorter than one step keeps t0
+    np.testing.assert_array_equal(sample_grid(0.0, 1e-13, 0.1), [0.0, 1e-13])
+    # the snap to t1 is relative to dt, so a tiny dt keeps its last sample
+    tiny = sample_grid(0.0, 1e-7, 1e-13)
+    assert tiny.size == 1_000_001 and tiny[-1] == 1e-7
+    assert np.diff(tiny).max() < 1.5e-13
 
 
 def test_timeseries_requires_increasing_times():

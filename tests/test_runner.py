@@ -354,6 +354,12 @@ class TestRoundTrip:
         assert data.shape[0] == result.series.times.size
         np.testing.assert_allclose(data[:, 0], result.series.times)
         np.testing.assert_allclose(data[:, 5], result.observables["p0"])
+        # with no observables the table is the time, the amplitudes and the norm
+        empty = run_scenario(Scenario.from_dict(base_semiclassical(t_final=5.0, outputs=[])))
+        write_timeseries(empty, path)
+        columns, data = load_table(path)
+        assert columns == ["t", "re_0", "im_0", "re_1", "im_1", "norm"]
+        np.testing.assert_array_equal(data[:, 5], empty.series.norms)
 
 
 class TestCompare:
@@ -441,6 +447,17 @@ class TestCompare:
         a = run_scenario(Scenario.from_dict(base_semiclassical(t_final=10.0, dt=0.2)))
         b = run_scenario(Scenario.from_dict(base_semiclassical(t_final=10.0, dt=0.3)))
         with pytest.raises(ValueError, match="different time grids"):
+            compare_results(a, b)
+
+    def test_different_tiny_grids_rejected(self):
+        # grids apart by less than any absolute tolerance still differ
+        # by a whole step
+        a = run_scenario(Scenario.from_dict(base_semiclassical(t_final=2e-13, dt=1e-13)))
+        b = run_scenario(Scenario.from_dict(base_semiclassical(t_final=4e-13, dt=2e-13)))
+        np.testing.assert_array_equal(a.series.times, [0.0, 1e-13, 2e-13])
+        np.testing.assert_array_equal(b.series.times, [0.0, 2e-13, 4e-13])
+        message = "different time grids: 3 samples to t = 2e-13 vs 3 to t = 4e-13"
+        with pytest.raises(ValueError, match=message):
             compare_results(a, b)
 
 
@@ -560,6 +577,19 @@ class TestCli:
         text = (tmp_path / "scenario.csv").read_text()
         assert "riccati_pole" in text
         assert "riccati-pole-time" in text
+        header = [line for line in text.splitlines() if line.startswith("#")]
+        assert [line.split(":")[0] for line in header] == [
+            "# rwasim-timeseries v3",
+            "# scenario",
+            "# config-hash",
+            "# solver",
+            "# versions",
+            "# flags",
+            "# riccati-pole-time",
+            "# columns",
+        ]
+        assert "# flags: riccati_pole" in header
+        assert "# riccati-pole-time: 0.2" in header
 
     def test_compare_command(self, tmp_path):
         a = self.write_scenario(

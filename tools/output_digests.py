@@ -16,9 +16,10 @@ for each file whose rows digest differs from its copy's, prints the
 largest absolute difference of the numeric rows; for each file whose rows
 match but whose header does not, it prints the keys of the header lines
 that differ (`header differs: rwasim-timeseries, scenario, config-hash`;
-a line's key is its first word after `# `). Its last line reads
-`rows identical: N of M`, and it exits 1 unless every file has a copy with
-the same rows:
+a line's key is its first word after `# `). Its last two lines read
+`files identical: N of M`, counting the files equal to their copy byte for
+byte, headers included, and `rows identical: N of M`; it exits 1 unless
+every file has a copy with the same rows:
 
     python3 tools/output_digests.py --keep /tmp/before    # on the old checkout
     python3 tools/output_digests.py --against /tmp/before # on the new one
@@ -75,7 +76,7 @@ parser.add_argument(
 )
 args = parser.parse_args()
 
-identical = total = 0
+identical = same_files = total = 0
 with tempfile.TemporaryDirectory() as tmp:
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
@@ -105,7 +106,10 @@ with tempfile.TemporaryDirectory() as tmp:
                         identical += 1
                         if kept != data:
                             print(f"  {name}/{csv.name}: {header_difference(data, kept)}")
+                        else:
+                            same_files += 1
 
 if args.against:
+    print(f"files identical: {same_files} of {total}")
     print(f"rows identical: {identical} of {total}")
     sys.exit(0 if identical == total else 1)
