@@ -17,6 +17,7 @@ __all__ = [
     "number_state",
     "commutation_defect",
     "top_level_population",
+    "slots",
     "LEAKAGE_THRESHOLD",
 ]
 
@@ -80,6 +81,15 @@ def commutation_defect(dim):
     return ops.a @ ops.a_dag - ops.a_dag @ ops.a - np.eye(dim, dtype=complex)
 
 
+def slots(x, dim):
+    """View x, whose last axis is a joint index of C^2 (x) C^dim with the atom
+    factor first, as (..., 2, dim): [..., slot, n] is atom slot 0 or 1 at Fock
+    level n. Splitting one axis never copies, so writes through it land in x."""
+    if x.shape[-1] != 2 * dim:
+        raise ValueError(f"last axis of length {x.shape[-1]} is not a joint index of 2 x {dim}")
+    return x.reshape(*x.shape[:-1], 2, dim)
+
+
 def top_level_population(state, dim):
     """Population of the top two Fock levels of a joint (2*dim) or bare
     (dim) state vector; used as the truncation-leakage monitor.
@@ -89,12 +99,6 @@ def top_level_population(state, dim):
     """
     state = np.asarray(state)
     pops = np.abs(state) ** 2
-    length = state.shape[-1]
-    if length == dim:
-        per_level = pops
-    elif length == 2 * dim:
-        per_level = pops[..., :dim] + pops[..., dim:]
-    else:
-        raise ValueError(f"state of length {length} does not match truncation {dim}")
+    per_level = pops if state.shape[-1] == dim else slots(pops, dim).sum(axis=-2)
     top = per_level[..., dim - 2 :].sum(axis=-1)
     return float(top) if state.ndim == 1 else top

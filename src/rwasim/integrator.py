@@ -94,7 +94,17 @@ class TimeSeries:
 
 
 def sample_grid(t0, t1, dt):
-    """Output grid t0, t0+dt, ... with t1 always included as the last point."""
+    """Output grid t0, t0+dt, ... with t1 always included as the last point.
+
+    ValueError, before anything is allocated, unless t0 < t1 are finite, dt
+    is positive and finite, and the grid has at most MAX_STATE_ENTRIES samples.
+    """
+    if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
+        raise ValueError(f"a sample grid needs finite t0 < t1, got t0 = {t0!r}, t1 = {t1!r}")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"the sample spacing must be positive and finite, got dt = {dt!r}")
+    if (t1 - t0) / dt + 2 > MAX_STATE_ENTRIES:
+        raise ValueError(f"{(t1 - t0) / dt:.3g} steps of dt exceed {MAX_STATE_ENTRIES} samples")
     n = int(np.floor((t1 - t0) / dt + 1e-12))
     ts = t0 + dt * np.arange(n + 1)
     # a later sample within a round-off of t1 becomes t1; t0 is always kept
@@ -161,8 +171,6 @@ def integrate(h_of_t, psi0, t0, t1, cfg):
     adequate.
     """
     psi = _initial_state(psi0)
-    if not t1 > t0:
-        raise ValueError("t1 must exceed t0")
     ts = sample_grid(t0, t1, cfg.dt)
     h = _checked_h(h_of_t, psi.size)
     # one fixed step per sample interval for rk4-fixed, the grid spacing

@@ -1,9 +1,9 @@
 """Quantum Rabi model and its rotating-wave reduction (Jaynes-Cummings).
 
-The joint space is C^2 (x) C^D with the atom factor first, so a joint index
-decomposes as slot * D + n. The first atom slot is the one whose bare energy
-is +Omega/2; from (1,0) (x) |0> the Jaynes-Cummings dynamics at resonance is
-the vacuum oscillation cos(gt) (1,0)|0> - i sin(gt) (0,1)|1>.
+The joint space is C^2 (x) C^D with the atom factor first; fock.slots views a
+joint index as atom slot and Fock level n. Slot 0 has bare energy +Omega/2;
+from (1,0) (x) |0> the Jaynes-Cummings dynamics at resonance is the vacuum
+oscillation cos(gt) (1,0)|0> - i sin(gt) (0,1)|1>.
 
 The closed form applies scalar functions to the diagonal operators a a_dag
 and a_dag a of the truncation, which keeps it equal to the true matrix
@@ -15,7 +15,7 @@ to psi0 on the whole grid in O(samples * D), the propagators to each basis state
 The quantum Rabi Hamiltonian is the Jaynes-Cummings one plus the
 counter-rotating pair g (sigma_+ (x) a_dag + sigma_- (x) a). Both are time
 independent and real, and both commute with the parity sigma_3 (x) (-1)^N
-(Braak, PRL 107, 100401, 2011): the joint index s * D + n has parity
+(Braak, PRL 107, 100401, 2011): the slot s and level n have parity
 (s + n) mod 2, and ordered by n each parity sector is a real symmetric
 tridiagonal chain. _chains, the one code that knows this layout, builds both
 from the parameters. The builders scatter them into a dense H; the
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import LEAKAGE_THRESHOLD, _check_dim, ladder_ops, top_level_population
+from .fock import LEAKAGE_THRESHOLD, _check_dim, ladder_ops, slots, top_level_population
 from .integrator import TimeSeries, checked_start
 from .linalg import RESONANCE_TOL, pauli, tensor_product
 
@@ -105,8 +105,8 @@ def hamiltonian_jc(p):
 
 
 def _chains(p, counter_rotating):
-    # per parity, even first: the joint indices s*dim + n of parity (s + n) mod 2
-    # in n order and the real tridiagonal block of H on them: the diagonal +-Omega/2
+    # per parity, even first: the (slot, n) pairs of parity (slot + n) mod 2 in
+    # n order and the real tridiagonal block of H on them: the diagonal +-Omega/2
     # + omega n, and the links g sqrt(n + 1) from n to n + 1, counter-rotating from slot 1
     n = np.arange(p.dim)
     for parity in (0, 1):
@@ -116,12 +116,13 @@ def _chains(p, counter_rotating):
         if not counter_rotating:
             links[slot[:-1] == 1] = 0.0
         block[n[:-1], n[1:]] = block[n[1:], n[:-1]] = links
-        yield slot * p.dim + n, block
+        yield (slot, n), block
 
 
 def _dense(p, counter_rotating):
     h = np.zeros((2 * p.dim, 2 * p.dim), dtype=complex)
-    for idx, block in _chains(p, counter_rotating):
+    for (slot, n), block in _chains(p, counter_rotating):
+        idx = slots(np.arange(2 * p.dim), p.dim)[slot, n]
         h[idx[:, None], idx] = block
     return h
 
@@ -191,15 +192,15 @@ def _jc_block_diagonals(t, p):
 
 
 def _jc_rotating(t, p, psi):
-    # e^{-itB} psi along the last axis of psi. The ladder operators shift the
-    # joint index by dim + 1: (a x)_n = sqrt(n+1) x_{n+1} fills the upper half
-    # from the lower, (a_dag x)_n = sqrt(n) x_{n-1} the lower from the upper,
-    # and zeros fill in past the truncation
+    # e^{-itB} psi along the last axis of psi. The ladder operators cross the
+    # slots: (a x)_n = sqrt(n+1) x_{n+1} fills slot 0 from slot 1,
+    # (a_dag x)_n = sqrt(n) x_{n-1} slot 1 from slot 0, and zeros fill in past
+    # the truncation
     d, s = _jc_block_diagonals(t, p)
     root = np.sqrt(np.arange(1, p.dim, dtype=float))
     shifted = np.zeros_like(psi)
-    shifted[..., : p.dim - 1] = root * psi[..., p.dim + 1 :]
-    shifted[..., p.dim + 1 :] = root * psi[..., : p.dim - 1]
+    slots(shifted, p.dim)[..., 0, :-1] = root * slots(psi, p.dim)[..., 1, 1:]
+    slots(shifted, p.dim)[..., 1, 1:] = root * slots(psi, p.dim)[..., 0, :-1]
     return d * psi - 1j * p.g * s * shifted
 
 
@@ -244,12 +245,13 @@ def _simulate(p, counter_rotating, psi0, times):
     # psi0 on the whole grid in one product; an empty chain stays exactly 0
     psi0, ts = checked_start(p, psi0, times)
     states = np.zeros((ts.size, psi0.size), dtype=complex)
-    for idx, block in _chains(p, counter_rotating):
-        if not psi0[idx].any():
+    start, rows = slots(psi0, p.dim), slots(states, p.dim)
+    for (slot, n), block in _chains(p, counter_rotating):
+        if not start[slot, n].any():
             continue
         energies, vecs = np.linalg.eigh(block)
-        coeffs = vecs.T @ psi0[idx]
-        states[:, idx] = (np.exp(-1j * np.outer(ts, energies)) * coeffs) @ vecs.T
+        coeffs = vecs.T @ start[slot, n]
+        rows[:, slot, n] = (np.exp(-1j * np.outer(ts, energies)) * coeffs) @ vecs.T
     return _monitored_series(ts, states, p)
 
 

@@ -20,7 +20,7 @@ import yaml
 
 from . import __version__
 from .errors import RiccatiPoleError, ScenarioError, SimulationError
-from .fock import top_level_population
+from .fock import slots, top_level_population
 from .integrator import (
     MAX_STATE_ENTRIES,
     IntegratorConfig,
@@ -294,8 +294,8 @@ def _resolve_t_final(t_final, params):
 
 
 def _parse_initial_state(spec, params):
-    # joint index atom * params.dim + fock; the classical drive has a field
-    # dimension of 1, so a two-level state is the atom slot alone
+    # the atom slot and Fock level of fock.slots; the classical drive has a
+    # field dimension of 1, so a two-level state is the atom slot alone
     dim = 2 * params.dim
     if isinstance(spec, str):
         given = {}
@@ -317,7 +317,7 @@ def _parse_initial_state(spec, params):
                 f"fock level {fock} outside truncation {params.dim}", "initial_state"
             )
         vec = np.zeros(dim, dtype=complex)
-        vec[atom * params.dim + fock] = 1.0
+        slots(vec, params.dim)[atom, fock] = 1.0
         return vec
     if isinstance(spec, (list, tuple)):
         if len(spec) != dim:
@@ -400,15 +400,9 @@ def attach_observables(scenario, series):
     return result
 
 
-def _slots(pops, dim):
-    # atom slots 0 and 1 of the rows of `pops`: joint index slot * dim + n
-    return pops[:, :dim], pops[:, dim:]
-
-
 def _observable_column(name, series, scenario):
-    states = series.states
     dim = scenario.params.dim
-    slot0, slot1 = _slots(np.abs(states) ** 2, dim)
+    slot0, slot1 = slots(np.abs(series.states) ** 2, dim).swapaxes(0, 1)
     if name == "p0":
         return slot0.sum(axis=1)
     if name == "p1":
@@ -417,7 +411,7 @@ def _observable_column(name, series, scenario):
         n = np.arange(dim)
         return slot0 @ n + slot1 @ n
     if name == "leakage":
-        return top_level_population(states, dim)
+        return top_level_population(series.states, dim)
     raise ScenarioError(f"unknown observable {name!r}", "outputs")
 
 
@@ -478,8 +472,8 @@ def compare_results(a, b):
     pop_devs = np.abs(pops_a - pops_b).max(axis=1)
 
     k_max = int(np.argmax(pop_devs))
-    p0_a, p1_a = (slot.sum(axis=1) for slot in _slots(pops_a, a.scenario.params.dim))
-    p0_b, p1_b = (slot.sum(axis=1) for slot in _slots(pops_b, b.scenario.params.dim))
+    p0_a, p1_a = slots(pops_a, a.scenario.params.dim).sum(axis=-1).T
+    p0_b, p1_b = slots(pops_b, b.scenario.params.dim).sum(axis=-1).T
     return ComparisonReport(
         hash_a=a.scenario.config_hash(),
         hash_b=b.scenario.config_hash(),
@@ -606,14 +600,22 @@ def _provenance(flags):
     return [("versions", f"rwasim={__version__} numpy={np.__version__}"), ("flags", flags)]
 
 
+# Table entries that _write stacks into float rows at once (8 MiB); a longer
+# table is stacked in blocks of rows that hold at most this many entries.
+_WRITE_ENTRIES = 2**20
+
+
 def _write(path, kind, meta, table):
     # one row at a time, so only one row is ever held as Python floats or
     # text; the repr of a Python float is the shortest that reads back to it
+    columns = list(table.values())
+    step = _WRITE_ENTRIES // len(columns)
     with Path(path).open("w") as out:
         out.write(f"# {kind}\n")
         out.writelines(f"# {k}: {v}\n" for k, v in [*meta, ("columns", ",".join(table))])
-        for row in np.column_stack(list(table.values())):
-            out.write(",".join(map(repr, row.tolist())) + "\n")
+        for lo in range(0, len(columns[0]), step):
+            for row in np.column_stack([column[lo : lo + step] for column in columns]):
+                out.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def write_timeseries(result, path, extra_meta=None):

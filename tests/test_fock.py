@@ -5,9 +5,10 @@ from rwasim.fock import (
     commutation_defect,
     ladder_ops,
     number_state,
+    slots,
     top_level_population,
 )
-from rwasim.linalg import commutator, expm_series
+from rwasim.linalg import commutator, expm_series, tensor_product
 
 
 class TestLadderOps:
@@ -143,3 +144,27 @@ class TestLeakageMonitor:
     def test_stack_dimension_mismatch(self):
         with pytest.raises(ValueError):
             top_level_population(np.zeros((3, 5)), 4)
+
+
+class TestSlots:
+    def test_atom_factor_comes_first(self):
+        for slot in range(2):
+            for n in range(5):
+                view = slots(tensor_product(np.eye(2)[slot], np.eye(5)[n]), 5)
+                expected = np.zeros((2, 5))
+                expected[slot, n] = 1.0
+                np.testing.assert_array_equal(view, expected)
+
+    def test_writes_land_in_the_array(self):
+        x = np.zeros(10)
+        slots(x, 5)[1, 2] = 1.0
+        np.testing.assert_array_equal(np.flatnonzero(x), [7])
+        # a strided stack of rows is viewed, not copied
+        stack = np.zeros((10, 3)).T
+        slots(stack, 5)[:, 1, 2] = 1.0
+        np.testing.assert_array_equal(np.flatnonzero(stack.any(axis=0)), [7])
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (9,), (11,), (20,), (10, 4)])
+    def test_rejects_a_last_axis_other_than_2_dim(self, shape):
+        with pytest.raises(ValueError, match="not a joint index of 2 x 5"):
+            slots(np.zeros(shape), 5)

@@ -383,6 +383,33 @@ def test_sample_grid_includes_endpoint():
     assert np.diff(tiny).max() < 1.5e-13
 
 
+@pytest.mark.parametrize(
+    "t0,t1,dt,message",
+    [
+        (0.0, 10.0, 0.0, "spacing"),
+        (0.0, 10.0, -1.0, "spacing"),
+        (0.0, 10.0, np.nan, "spacing"),
+        (0.0, 10.0, np.inf, "spacing"),
+        (10.0, 0.0, 1.0, "finite t0 < t1"),
+        (5.0, 5.0, 0.1, "finite t0 < t1"),
+        (0.0, np.inf, 1.0, "finite t0 < t1"),
+        (np.nan, 1.0, 0.1, "finite t0 < t1"),
+        (0.0, 10.0, 1e-9, "exceed 4194304 samples"),
+        (-1e308, 1e308, 1.0, "exceed 4194304 samples"),
+    ],
+)
+def test_sample_grid_rejects_a_grid_it_cannot_build(t0, t1, dt, message):
+    # these raised ZeroDivisionError, IndexError or OverflowError, or returned
+    # [5, 5] and [nan, 10]; the too-fine grids are refused before allocation
+    with pytest.raises(ValueError, match=message):
+        sample_grid(t0, t1, dt)
+
+
+def test_integrate_refuses_an_unbounded_grid():
+    with pytest.raises(ValueError, match="exceed 4194304 samples"):
+        integrate(lambda t: pauli(3).astype(complex), KET0, 0.0, 10.0, IntegratorConfig(dt=1e-9))
+
+
 def test_timeseries_requires_increasing_times():
     with pytest.raises(ValueError):
         TimeSeries(

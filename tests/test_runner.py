@@ -344,6 +344,23 @@ class TestRoundTrip:
         assert table.shape == (301, 2 * 1024 + 6)
         assert peak < 2 * table.nbytes
 
+    def test_writer_stacks_the_table_in_blocks(self, tmp_path, monkeypatch):
+        # stacked whole, this table of about 32 blocks would take 1 MiB
+        block = 2**12
+        monkeypatch.setattr(runner, "_WRITE_ENTRIES", block)
+        table = {f"c{k}": np.linspace(k, k + 1, 2**15 + 5) for k in range(4)}
+        path = tmp_path / "table.csv"
+        tracemalloc.start()
+        try:
+            runner._write(path, "kind", [], table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * block
+        columns, rows = load_table(path)
+        assert columns == list(table)
+        np.testing.assert_array_equal(rows, np.column_stack(list(table.values())))
+
     def test_table_columns(self, tmp_path):
         scenario = Scenario.from_dict(base_semiclassical(t_final=5.0))
         result = run_scenario(scenario)
