@@ -85,8 +85,6 @@ def _cmd_sweep(args):
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
         raise ScenarioError(f"--values must be a comma-separated number list, got {args.values!r}")
-    if not values:
-        raise ScenarioError("--values is empty")
     rows = sweep_scenario(scenario, args.param, values)
     out = _out_dir(args) / f"{Path(args.scenario).stem}__sweep__{args.param}.csv"
     with _writing(out):

@@ -421,23 +421,17 @@ def _observable_column(name, series, scenario):
 
 @dataclass
 class ComparisonReport:
-    """Per-time fidelity and population deviation between two runs, plus
-    summary statistics and the config hashes identifying both runs."""
+    """Two runs compared: `columns` maps the comparison file's column names
+    (t, fidelity, pop_dev, dp0) to per-time arrays, `summary` maps the
+    SUMMARY names to floats, and the config hashes and echoes identify both
+    runs."""
 
-    hash_a: str
-    hash_b: str
     scenario_a: dict
     scenario_b: dict
-    times: np.ndarray
-    fidelities: np.ndarray
-    pop_devs: np.ndarray
-    dp0: np.ndarray  # signed difference of the first-slot population
-    max_pop_dev: float
-    mean_pop_dev: float
-    t_of_max_dev: float
-    min_fidelity: float
-    peak_p1_a: float
-    peak_p1_b: float
+    hash_a: str
+    hash_b: str
+    columns: dict
+    summary: dict
     flags: set
 
 
@@ -471,24 +465,19 @@ def compare_results(a, b):
     pops_b = np.abs(states_b) ** 2
     pop_devs = np.abs(pops_a - pops_b).max(axis=1)
 
-    k_max = int(np.argmax(pop_devs))
     p0_a, p1_a = slots(pops_a, a.scenario.params.dim).sum(axis=-1).T
     p0_b, p1_b = slots(pops_b, b.scenario.params.dim).sum(axis=-1).T
+    # in the order of SUMMARY
+    t_of_max = times[pop_devs.argmax()]
+    summary = (pop_devs.max(), pop_devs.mean(), t_of_max, fids.min(), p1_a.max(), p1_b.max())
     return ComparisonReport(
-        hash_a=a.scenario.config_hash(),
-        hash_b=b.scenario.config_hash(),
         scenario_a=a.scenario.to_dict(),
         scenario_b=b.scenario.to_dict(),
-        times=times,
-        fidelities=fids,
-        pop_devs=pop_devs,
-        dp0=p0_a - p0_b,
-        max_pop_dev=float(pop_devs.max()),
-        mean_pop_dev=float(pop_devs.mean()),
-        t_of_max_dev=float(times[k_max]),
-        min_fidelity=float(fids.min()),
-        peak_p1_a=float(p1_a.max()),
-        peak_p1_b=float(p1_b.max()),
+        hash_a=a.scenario.config_hash(),
+        hash_b=b.scenario.config_hash(),
+        # dp0 is the signed difference of the first-slot population
+        columns={"t": times, "fidelity": fids, "pop_dev": pop_devs, "dp0": p0_a - p0_b},
+        summary={name: float(v) for name, v in zip(SUMMARY, summary, strict=True)},
         flags=flags,
     )
 
@@ -515,8 +504,10 @@ def sweep_scenario(base, param, values):
     't_final'/'dt'). For each value the base model is compared against its
     partner model (`ModelSpec.partner`) with identical settings, of which the
     partner keeps the tolerances its own solve reads; one summary row is
-    returned per value.
+    returned per value. An empty value list is a ScenarioError.
     """
+    if len(values) == 0:
+        raise ScenarioError("no values to sweep")
     base_dict = base.to_dict()
     if param not in base_dict["params"] and param not in ("t_final", "dt"):
         raise ScenarioError(
@@ -538,7 +529,7 @@ def sweep_scenario(base, param, values):
             {
                 "param": param,
                 "value": float(value),
-                **{name: getattr(report, name) for name in SUMMARY},
+                **report.summary,
                 "flags": ",".join(sorted(report.flags)),
             }
         )
@@ -644,25 +635,19 @@ def write_comparison(report, path):
         ("config-hash-a", report.hash_a),
         ("config-hash-b", report.hash_b),
         *_provenance(",".join(sorted(report.flags)) or "-"),
-        *((name, repr(float(getattr(report, name)))) for name in SUMMARY),
+        *((name, repr(value)) for name, value in report.summary.items()),
     ]
-    table = {
-        "t": report.times,
-        "fidelity": report.fidelities,
-        "pop_dev": report.pop_devs,
-        "dp0": report.dp0,
-    }
-    _write(path, "rwasim-comparison v3", meta, table)
+    _write(path, "rwasim-comparison v3", meta, report.columns)
 
 
 def write_sweep(rows, path, base):
-    """Write one summary row per swept value; the header echoes the base
-    scenario and names the partner model."""
+    """Write one summary row per swept value (at least one); the header
+    echoes the base scenario and names the partner model."""
     meta = [
         ("scenario", json.dumps(base.to_dict(), sort_keys=True)),
         ("config-hash", base.config_hash()),
         ("partner", MODELS[base.model].partner),
-        ("parameter", rows[0]["param"] if rows else "-"),
+        ("parameter", rows[0]["param"]),
         *_provenance(";".join(r["flags"] or "-" for r in rows)),
     ]
     _write(path, "rwasim-sweep v2", meta, {c: [r[c] for r in rows] for c in ("value", *SUMMARY)})

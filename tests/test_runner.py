@@ -271,7 +271,7 @@ class TestRunPathways:
             run_scenario(Scenario.from_dict(spec_a)),
             run_scenario(Scenario.from_dict(spec_b)),
         )
-        assert report.min_fidelity >= 1 - 1e-8
+        assert report.summary["min_fidelity"] >= 1 - 1e-8
 
 
 class TestRoundTrip:
@@ -383,8 +383,8 @@ class TestCompare:
     def test_self_comparison(self):
         scenario = Scenario.from_dict(base_semiclassical(t_final=10.0))
         report = compare_results(run_scenario(scenario), run_scenario(scenario))
-        assert report.min_fidelity >= 1 - 1e-14
-        assert report.max_pop_dev == 0.0
+        assert report.summary["min_fidelity"] >= 1 - 1e-14
+        assert report.summary["max_pop_dev"] == 0.0
         assert report.hash_a == report.hash_b
 
     def test_full_vs_rwa_small_coupling_below_frozen_bound(self):
@@ -397,7 +397,7 @@ class TestCompare:
             run_scenario(Scenario.from_dict(spec_rwa)),
         )
         # frozen regression bound for g/omega = 0.01 (see test_integrator)
-        assert report.max_pop_dev < 5.2e-3
+        assert report.summary["max_pop_dev"] < 5.2e-3
 
     def test_counter_rotating_signature_near_two_omega(self):
         spec_a = base_quantum(model="quantum-rabi", t_final="rabi-period", dt=0.05)
@@ -409,8 +409,8 @@ class TestCompare:
             run_scenario(Scenario.from_dict(spec_b)),
         )
         omega = 1.0
-        signal = report.dp0 - report.dp0.mean()
-        dt = report.times[1] - report.times[0]
+        signal = report.columns["dp0"] - report.columns["dp0"].mean()
+        dt = report.columns["t"][1] - report.columns["t"][0]
         spectrum = np.abs(np.fft.rfft(signal))
         freqs = 2 * np.pi * np.fft.rfftfreq(signal.size, d=dt)
         mask = freqs > 0.5 * omega
@@ -438,17 +438,17 @@ class TestCompare:
             for sa, sb in zip(a.series.states, b.series.states)
         ]
         report = compare_results(a, b)
-        assert np.abs(report.fidelities - per_row).max() < 1e-15
+        assert np.abs(report.columns["fidelity"] - per_row).max() < 1e-15
         self_report = compare_results(a, a)
-        assert np.all(self_report.fidelities <= 1.0)
-        assert np.abs(self_report.fidelities - 1.0).max() < 1e-15
+        assert np.all(self_report.columns["fidelity"] <= 1.0)
+        assert np.abs(self_report.columns["fidelity"] - 1.0).max() < 1e-15
 
     def test_b_runs_on_the_grid_of_a(self):
         a = Scenario.from_dict(base_semiclassical(t_final=10.0, dt=0.2))
         b = Scenario.from_dict(base_semiclassical(t_final=10.0, dt=0.3))
         report = compare_scenarios(a, b)
         # the same run on the same grid: no resampling error is added
-        assert report.max_pop_dev == 0.0
+        assert report.summary["max_pop_dev"] == 0.0
         assert report.flags == set()
         assert report.scenario_b["dt"] == 0.2
         assert report.hash_a == report.hash_b
@@ -457,7 +457,7 @@ class TestCompare:
         a = Scenario.from_dict(base_semiclassical(t_final=10.0))
         b = Scenario.from_dict(base_semiclassical(model="semiclassical-full", t_final=4.0))
         report = compare_scenarios(a, b)
-        assert report.times[-1] == 10.0
+        assert report.columns["t"][-1] == 10.0
         assert report.scenario_b["t_final"] == 10.0
 
     def test_different_grids_rejected(self):
@@ -479,13 +479,26 @@ class TestCompare:
 
 
 class TestSweep:
-    def test_single_value_matches_compare(self):
-        base = Scenario.from_dict(base_semiclassical(model="semiclassical-full", t_final=30.0))
-        rows = sweep_scenario(base, "g", [0.1])
-        partner = Scenario.from_dict(base_semiclassical(model="semiclassical-rwa", t_final=30.0))
+    @pytest.mark.parametrize("model", list(runner.MODELS))
+    def test_single_value_matches_compare(self, model):
+        cavity = runner.MODELS[model].params is not semiclassical.DriveParams
+        spec = (base_quantum if cavity else base_semiclassical)(model=model, t_final=30.0)
+        base = Scenario.from_dict(spec)
+        [row] = sweep_scenario(base, "g", [0.1])
+        # the default tolerances, so the partner reads the same ones as the base
+        partner = Scenario.from_dict({**spec, "model": runner.MODELS[model].partner})
         report = compare_results(run_scenario(base), run_scenario(partner))
-        assert rows[0]["max_pop_dev"] == pytest.approx(report.max_pop_dev, rel=1e-12)
-        assert rows[0]["min_fidelity"] == pytest.approx(report.min_fidelity, rel=1e-12)
+        assert [row[name] for name in runner.SUMMARY] == [
+            report.summary[name] for name in runner.SUMMARY
+        ]
+
+    def test_empty_value_list_is_rejected_before_any_solve(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(runner, "run_scenario", solves.append)
+        base = Scenario.from_dict(base_semiclassical(t_final=2.0))
+        with pytest.raises(ScenarioError, match="no values to sweep"):
+            sweep_scenario(base, "g", [])
+        assert solves == []
 
     def test_detuning_sweep_peak_amplitudes(self):
         # peak transferred population follows g^2 / (g^2 + (detuning/2)^2)
@@ -503,7 +516,7 @@ class TestSweep:
         full = Scenario.from_dict({**spec, "model": "semiclassical-full"})
         report = compare_results(run_scenario(Scenario.from_dict(spec)), run_scenario(full))
         assert [row[name] for name in runner.SUMMARY] == [
-            getattr(report, name) for name in runner.SUMMARY
+            report.summary[name] for name in runner.SUMMARY
         ]
 
     def test_rwa_base_runs_its_partner_at_the_default_rel_tol(self, monkeypatch):
@@ -614,7 +627,26 @@ class TestCli:
         )
         b = self.write_scenario(tmp_path, base_semiclassical(t_final=5.0), "b.yaml")
         assert cli.main(["compare", str(a), str(b), "--out", str(tmp_path)]) == 0
-        columns, data = load_table(tmp_path / "a__vs__b.csv")
+        out = tmp_path / "a__vs__b.csv"
+        header = [line for line in out.read_text().splitlines() if line.startswith("#")]
+        assert [line.split(":")[0] for line in header] == [
+            "# rwasim-comparison v3",
+            "# scenario-a",
+            "# scenario-b",
+            "# config-hash-a",
+            "# config-hash-b",
+            "# versions",
+            "# flags",
+            "# max_pop_dev",
+            "# mean_pop_dev",
+            "# t_of_max_dev",
+            "# min_fidelity",
+            "# peak_p1_a",
+            "# peak_p1_b",
+            "# columns",
+        ]
+        assert header[-1] == "# columns: t,fidelity,pop_dev,dp0"
+        columns, data = load_table(out)
         assert columns == ["t", "fidelity", "pop_dev", "dp0"]
         # full vs rotating-wave at g = 0.1: fidelity dips only by the
         # counter-rotating correction, of order (g/2 omega)^2
@@ -654,7 +686,18 @@ class TestCli:
         base = Scenario.from_dict(spec)
         assert load_metadata(out) == base
         header = [line for line in out.read_text().splitlines() if line.startswith("#")]
-        assert header[0] == "# rwasim-sweep v2"
+        assert [line.split(":")[0] for line in header] == [
+            "# rwasim-sweep v2",
+            "# scenario",
+            "# config-hash",
+            "# partner",
+            "# parameter",
+            "# versions",
+            "# flags",
+            "# columns",
+        ]
+        columns = "value,max_pop_dev,mean_pop_dev,t_of_max_dev,min_fidelity,peak_p1_a,peak_p1_b"
+        assert header[-1] == f"# columns: {columns}"
         assert f"# config-hash: {base.config_hash()}" in header
         assert "# partner: semiclassical-full" in header
 
@@ -673,6 +716,15 @@ class TestCli:
             ["sweep", str(path), "--param", "g", "--values", "a,b", "--out", str(tmp_path)]
         )
         assert code == cli.EXIT_CONFIG
+
+    def test_sweep_empty_values_is_config_error(self, tmp_path, capsys):
+        path = self.write_scenario(tmp_path, base_semiclassical())
+        code = cli.main(
+            ["sweep", str(path), "--param", "g", "--values", ",", "--out", str(tmp_path)]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "config error: no values to sweep" in capsys.readouterr().err
+        assert not (tmp_path / "scenario__sweep__g.csv").exists()
 
     def test_out_dir_from_environment(self, tmp_path, monkeypatch):
         outdir = tmp_path / "envout"
