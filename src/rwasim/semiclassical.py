@@ -12,7 +12,6 @@ rotating-wave approximation. The trajectory routes take their sample times.
 """
 
 import cmath
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -298,12 +297,12 @@ def _rms(values, scale):
     return math.hypot(*(abs(v) / s for v, s in zip(values, scale))) / math.sqrt(len(scale))
 
 
-def _initial_step(fun, y, f, t_bound, rtol, atol):
+def _initial_step(p, y, f, t_bound, rtol, atol):
     # Hairer, Norsett & Wanner, Solving ODEs I, II.4, as scipy computes it
     scale = [atol + abs(v) * rtol for v in y]
     d0, d1 = _rms(y, scale), _rms(f, scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
-    f1 = fun(h0, [v + h0 * d for v, d in zip(y, f)])
+    f1 = _riccati_field(h0, y[0] + h0 * f[0], y[1] + h0 * f[1], p)
     d2 = _rms([a - b for a, b in zip(f1, f)], scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         return min(100 * h0, max(1e-6, h0 * 1e-3), t_bound)
@@ -321,35 +320,42 @@ def _dense_output(t_old, h, y_old, ks):
     return y_at
 
 
-def _crossing(margin, lo, hi):
-    # bisect [lo, hi], across which margin changes sign, down to adjacent floats
-    side = margin(lo) > 0
+def _crossing(y_at, k, f_max, lo, hi):
+    # bisect [lo, hi], across which guard k of _guard_margins changes sign on
+    # the dense output y_at, down to adjacent floats
+    def positive(s):
+        return _guard_margins(*y_at(s)[:2], f_max, POLE_GUARD_G)[k] > 0
+
+    side = positive(lo)
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if (margin(mid) > 0) == side:
+        if positive(mid) == side:
             lo = mid
         else:
             hi = mid
     return hi
 
 
-def _rk45(fun, y, grid, rtol, atol, margins):
-    """Integrate y' = fun(t, y) from t = 0 to grid[-1] with the steps of
-    scipy's RK45 at these tolerances, y being a list of complex numbers.
+def _rk45(p, grid, rtol, atol, f_max):
+    """Integrate the disentangling system of p from F = G = H = 0 at t = 0 to
+    grid[-1] with the steps of scipy's RK45 at these tolerances, on lists
+    [F, G, H] of complex numbers.
 
     Returns the states at the grid times, from the dense output, and
-    (t_stop, k) if margins(y)[k] changed sign at t_stop (then only the grid
-    times up to t_stop are sampled), else None. A step attempt whose
-    arithmetic overflows counts as a rejected step.
+    (t_stop, k) if guard k of _guard_margins changed sign at t_stop (then
+    only the grid times up to t_stop are sampled), else None. A step attempt
+    whose arithmetic overflows counts as a rejected step. It counts the
+    evaluations of the field, 2 before the first step and 6 per attempt, and
+    raises StiffnessError before an attempt would pass MAX_STATE_ENTRIES.
     """
-    t_bound = grid[-1]
+    y, t_bound = [0j, 0j, 0j], grid[-1]
     if not t_bound > 0:  # no step to take, as in scipy
         return [y] * len(grid), None
-    t, f, out = 0.0, fun(0.0, y), []
+    t, f, out, evals = 0.0, _riccati_field(0.0, 0j, 0j, p), [], 2
     try:
-        h_abs = _initial_step(fun, y, f, t_bound, rtol, atol)
+        h_abs = _initial_step(p, y, f, t_bound, rtol, atol)
     except (OverflowError, ValueError):
         h_abs = 0.0
-    old = margins(y)
+    old = _guard_margins(0j, 0j, f_max, POLE_GUARD_G)
     while t < t_bound:
         min_step = 10 * math.ulp(t)
         h_abs, rejected = max(h_abs, min_step), False
@@ -359,17 +365,24 @@ def _rk45(fun, y, grid, rtol, atol, margins):
                     "adaptive integration failed: "
                     "Required step size is less than spacing between numbers."
                 )
+            if evals + 6 > MAX_STATE_ENTRIES:
+                raise StiffnessError(
+                    f"the Riccati solve needs over {MAX_STATE_ENTRIES} right-hand-side "
+                    "evaluations; lower delta, g, omega or t_final, or raise rel_tol"
+                )
+            evals += 6
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
             try:
-                # the stage derivatives, one list per component
+                # the stage derivatives, one list per component; the field
+                # reads F and G only, so only their stage inputs are formed
                 ks = [[d] for d in f]
                 for c, a in zip(_DP_C, _DP_A):
-                    stage = fun(t + c * h, [v + _dot(a, k) * h for v, k in zip(y, ks)])
-                    for k, d in zip(ks, stage):
+                    fg = [v + _dot(a, k) * h for v, k in zip(y[:2], ks)]
+                    for k, d in zip(ks, _riccati_field(t + c * h, fg[0], fg[1], p)):
                         k.append(d)
                 y_new = [v + h * _dot(_DP_B, k) for v, k in zip(y, ks)]
-                for k, d in zip(ks, fun(t + h, y_new)):
+                for k, d in zip(ks, _riccati_field(t + h, y_new[0], y_new[1], p)):
                     k.append(d)
                 scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
                 error = _rms([_dot(_DP_E, k) * h for k in ks], scale)
@@ -382,13 +395,13 @@ def _rk45(fun, y, grid, rtol, atol, margins):
             h_abs *= max(0.2, 0.9 * error**-0.2)
             rejected = True
         t_old, y_old, t, y, f = t, y, t_new, y_new, [k[-1] for k in ks]
-        new = margins(y)
+        new = _guard_margins(y[0], y[1], f_max, POLE_GUARD_G)
         fired = [k for k, (a, b) in enumerate(zip(old, new)) if a <= 0 <= b or a >= 0 >= b]
         old, stop, t_end = new, None, t
         if fired or (len(out) < len(grid) and grid[len(out)] <= t):
             y_at = _dense_output(t_old, h, y_old, ks)
         if fired:
-            stop = min((_crossing(lambda s, k=k: margins(y_at(s))[k], t_old, t), k) for k in fired)
+            stop = min((_crossing(y_at, k, f_max, t_old, t), k) for k in fired)
             t_end = stop[0]
         while len(out) < len(grid) and grid[len(out)] <= t_end:
             out.append(y_at(grid[len(out)]))
@@ -419,27 +432,8 @@ def solve_beyond_rwa(
     IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol)  # checks the tolerances
     psi0, times = checked_start(p, psi0, times)
 
-    evals = itertools.count(1)
-
-    def rhs(t, y):
-        if next(evals) > MAX_STATE_ENTRIES:
-            raise StiffnessError(
-                f"the Riccati solve needs over {MAX_STATE_ENTRIES} right-hand-side "
-                "evaluations; lower delta, g, omega or t_final, or raise rel_tol"
-            )
-        return _riccati_field(t, y[0], y[1], p)
-
-    out, stop = _rk45(
-        rhs,
-        [0j, 0j, 0j],
-        times.tolist(),
-        # scipy lifts a rel_tol below 100 machine epsilons to that floor
-        max(rel_tol, 100 * math.ulp(1.0)),
-        abs_tol,
-        # the guards of riccati_rhs, located on the dense output so the
-        # solve can stop at the pole instead of unwinding a raise
-        lambda y: _guard_margins(y[0], y[1], f_max, POLE_GUARD_G),
-    )
+    # scipy lifts a rel_tol below 100 machine epsilons to that floor
+    out, stop = _rk45(p, times.tolist(), max(rel_tol, 100 * math.ulp(1.0)), abs_tol, f_max)
     states = reconstruct_disentangled(DisentangleState(*np.array(out).T)) @ psi0
     if stop is not None:
         t_pole, which = stop
