@@ -224,6 +224,11 @@ def _guard_margins(f, g_fun, f_max, pole_tol):
     return abs(1.0 + 1j * g_fun) - pole_tol, f_max - abs(f)
 
 
+def _check_f_max(f_max):
+    if not 0 < f_max < math.inf:
+        raise ValueError(f"f_max must be positive and finite, got {f_max}")
+
+
 def riccati_rhs(s, t, p, f_max=POLE_GUARD_F):
     """Time derivative of the disentangling functions.
 
@@ -235,8 +240,10 @@ def riccati_rhs(s, t, p, f_max=POLE_GUARD_F):
     e^{-iG tau_3} sigma_- e^{iG tau_3} = e^{iG} sigma_- exactly, sigma_- being
     an eigenvector of the adjoint action of tau_3.
 
-    Raises RiccatiPoleError when |1 + iG| < POLE_GUARD_G or |F| > f_max.
+    Raises RiccatiPoleError when |1 + iG| < POLE_GUARD_G or |F| > f_max, and
+    ValueError unless f_max is positive and finite.
     """
+    _check_f_max(f_max)
     for margin, reason in zip(_guard_margins(s.f, s.g_fun, f_max, POLE_GUARD_G), _GUARD_REASONS):
         if margin < 0:
             raise RiccatiPoleError(t, reason=reason)
@@ -335,6 +342,60 @@ def _crossing(y_at, k, f_max, lo, hi):
     return hi
 
 
+# A step's error estimate on y' = i nu y is at least this times (nu h)^5 for
+# every step h (checked for nu h up to 60), which caps the step that an
+# error norm below 1 admits on a free oscillation
+_DP_FREE_ERROR = 8.08e-4
+# a pass near a pole of F counts where |2 g cos(omega t + phi)| exceeds
+# _SHARP_DRIVE times max(delta, omega)
+_SHARP_DRIVE = 10.0
+
+
+def _evaluation_floor(p, t_final, rtol, atol):
+    """A lower bound on the field evaluations of a solve to t_final, and the
+    parameter that sets it; (0.0, "") where neither estimate applies.
+
+    delta: while |F| <= m = 4 g delta / |delta^2 - omega^2| <= 0.1, linear
+    response from F(0) = 0 gives F a free oscillation e^{i delta t} of
+    amplitude a = g |e^{i phi}/(delta - omega) + e^{-i phi}/(delta + omega)|.
+    An accepted step keeps its error estimate, at least a _DP_FREE_ERROR
+    (delta h)^5, below sqrt(3) (atol + rtol m), the RMS norm over three
+    components being below 1; scipy's controller aims 0.9 times below that
+    step, so this part reads at most about 0.9 of the measured count.
+
+    g: where the drive exceeds _SHARP_DRIVE max(delta, omega), F follows
+    tan of the drive's integral (2 g / omega) sin(omega t + phi) and passes
+    near a pole each time that crosses pi/2 modulo pi, which takes at least
+    max(rtol, atol)^(-1/5) steps (measured: 2 to 30 times more). The
+    intervals of strong drive sit around the peaks omega t + phi = k pi;
+    crossings are counted inside each, clipped to [0, t_final].
+    """
+    delta, g, omega, phi = p.delta, p.g, p.omega, math.fmod(p.phi, math.tau)
+    bounds = [(0.0, "")]
+    if delta != omega and (m := 4 * g * delta / abs(delta - omega) / (delta + omega)) <= 0.1:
+        a = g * abs(cmath.exp(1j * phi) / (delta - omega) + cmath.exp(-1j * phi) / (delta + omega))
+        steps = t_final * delta * (a * _DP_FREE_ERROR / (math.sqrt(3) * (atol + rtol * m))) ** 0.2
+        bounds.append((6 * steps, "delta"))
+    c = _SHARP_DRIVE * max(delta, omega) / (2 * g) if g > 0 else math.inf
+    span, th0, th1 = 2 * g / omega, phi, omega * t_final + phi
+    if c < 1 and math.isfinite(span * th1):  # an overflow leaves it to the running count
+        half = math.acos(c)
+        lo, hi = -((half - th0) // math.pi), (th1 + half) // math.pi
+        passes = max(0.0, hi - lo - 1) * (2 * span * math.sin(half) // math.pi)
+        for k in {lo, hi}:  # the end intervals, perhaps clipped
+            a, b = max(th0, k * math.pi - half), min(th1, k * math.pi + half)
+            passes += span * abs(math.sin(b) - math.sin(a)) // math.pi if a < b else 0.0
+        bounds.append((6 * passes * max(rtol, atol) ** -0.2, "g"))
+    return max(bounds)
+
+
+def _over_budget(why=""):
+    return StiffnessError(
+        f"the Riccati solve needs over {MAX_STATE_ENTRIES} right-hand-side evaluations{why}; "
+        "lower delta, g, omega or t_final, or raise rel_tol"
+    )
+
+
 def _rk45(p, grid, rtol, atol, f_max):
     """Integrate the disentangling system of p from F = G = H = 0 at t = 0 to
     grid[-1] with the steps of scipy's RK45 at these tolerances, on lists
@@ -345,11 +406,15 @@ def _rk45(p, grid, rtol, atol, f_max):
     only the grid times up to t_stop are sampled), else None. A step attempt
     whose arithmetic overflows counts as a rejected step. It counts the
     evaluations of the field, 2 before the first step and 6 per attempt, and
-    raises StiffnessError before an attempt would pass MAX_STATE_ENTRIES.
+    raises StiffnessError before an attempt would pass MAX_STATE_ENTRIES, or
+    before the first step if _evaluation_floor already does.
     """
     y, t_bound = [0j, 0j, 0j], grid[-1]
     if not t_bound > 0:  # no step to take, as in scipy
         return [y] * len(grid), None
+    floor, name = _evaluation_floor(p, t_bound, rtol, atol)
+    if floor > MAX_STATE_ENTRIES:
+        raise _over_budget(f" (at least {floor:.3g} at this {name})")
     t, f, out, evals = 0.0, _riccati_field(0.0, 0j, 0j, p), [], 2
     try:
         h_abs = _initial_step(p, y, f, t_bound, rtol, atol)
@@ -366,10 +431,7 @@ def _rk45(p, grid, rtol, atol, f_max):
                     "Required step size is less than spacing between numbers."
                 )
             if evals + 6 > MAX_STATE_ENTRIES:
-                raise StiffnessError(
-                    f"the Riccati solve needs over {MAX_STATE_ENTRIES} right-hand-side "
-                    "evaluations; lower delta, g, omega or t_final, or raise rel_tol"
-                )
+                raise _over_budget()
             evals += 6
             t_new = min(t + h_abs, t_bound)
             h = h_abs = t_new - t
@@ -420,16 +482,19 @@ def solve_beyond_rwa(
 ):
     """Integrate the disentangling system for the full (non-rotating-wave)
     Hamiltonian from psi0 at t = 0 and reconstruct psi(t) at `times`; the
-    steps depend on the last time only. The tolerances, then psi0 and `times`
-    (checked_start), are checked before the first step.
+    steps depend on the last time only. The tolerances and f_max (positive
+    and finite), then psi0 and `times` (checked_start), are checked before
+    the first step.
 
     The integration halts at a Riccati pole: RiccatiPoleError is raised with
     the pole time and the trajectory accumulated so far attached. A failure
     of the step control before either guard fired raises StiffnessError, and
     so does a solve that needs more than MAX_STATE_ENTRIES evaluations of
-    the right-hand side.
+    the right-hand side: at once if a lower bound on its count already does
+    (_evaluation_floor), else when its running count reaches the cap.
     """
     IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol)  # checks the tolerances
+    _check_f_max(f_max)
     psi0, times = checked_start(p, psi0, times)
 
     # scipy lifts a rel_tol below 100 machine epsilons to that floor

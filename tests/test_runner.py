@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -910,6 +911,26 @@ class TestCli:
         assert "solver error: the Riccati solve needs over 1000 right-hand-side" in err
         assert "lower delta, g, omega or t_final" in err
         assert "pole" not in err.lower()
+        assert not (tmp_path / "scenario.csv").exists()
+
+    # rabi_riccati.yaml with a large splitting, and README's large coupling:
+    # each ran 30 s or more to the evaluation cap
+    @pytest.mark.parametrize(
+        "params,top,name",
+        [({"delta": 1.0e3}, {}, "delta"), ({"g": 1.0e4}, {"t_final": 10.0}, "g")],
+    )
+    def test_hopeless_riccati_solve_is_a_prompt_solver_error(
+        self, tmp_path, capsys, params, top, name
+    ):
+        spec = yaml.safe_load((SCENARIOS / "rabi_riccati.yaml").read_text())
+        spec["params"].update(params)
+        path = self.write_scenario(tmp_path, {**spec, **top})
+        start = time.perf_counter()
+        assert cli.main(["run", str(path), "--out", str(tmp_path)]) == cli.EXIT_SOLVER
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "right-hand-side evaluations (at least" in err
+        assert f"at this {name})" in err
         assert not (tmp_path / "scenario.csv").exists()
 
     @pytest.mark.parametrize("from_env", [False, True], ids=["--out", "RWASIM_OUT"])

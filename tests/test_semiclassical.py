@@ -436,6 +436,147 @@ class TestBeyondRwa:
         assert type(excinfo.value) is StiffnessError
 
 
+def _unreachable(*args):
+    raise AssertionError("the field was evaluated")
+
+
+class TestPoleGuardCheck:
+    """f_max must be positive and finite: a negative, NaN or infinite one
+    switched the |F| guard off in the solve, and 0 fired it at once."""
+
+    BAD = [-1.0, 0.0, np.nan, np.inf]
+
+    @pytest.mark.parametrize("f_max", BAD)
+    def test_riccati_rhs_rejects(self, f_max):
+        p = DriveParams(delta=1.0, g=0.05, omega=1.0)
+        with pytest.raises(ValueError, match="f_max must be positive and finite"):
+            riccati_rhs(DisentangleState(0.0, 0.0, 0.0), 0.0, p, f_max=f_max)
+
+    @pytest.mark.parametrize("f_max", BAD)
+    def test_solve_rejects_before_the_first_step(self, f_max, monkeypatch):
+        monkeypatch.setattr(semiclassical, "_riccati_field", _unreachable)
+        p = DriveParams(delta=1.0, g=0.05, omega=1.0)
+        with pytest.raises(ValueError, match="f_max must be positive and finite"):
+            solve_beyond_rwa(p, KET0, sample_grid(0.0, 50.0, 0.1), f_max=f_max)
+
+
+def _count_evaluations(monkeypatch, p, t_final, rel_tol=1e-12, abs_tol=1e-14):
+    calls = []
+    field = semiclassical._riccati_field
+    monkeypatch.setattr(
+        semiclassical, "_riccati_field", lambda *args: calls.append(1) or field(*args)
+    )
+    solve_beyond_rwa(
+        p, KET0, sample_grid(0.0, t_final, t_final / 10), rel_tol=rel_tol, abs_tol=abs_tol
+    )
+    monkeypatch.undo()
+    return len(calls)
+
+
+class TestEvaluationFloor:
+    """_evaluation_floor is a lower bound on the evaluations that a solve
+    makes, so a solve it refuses could not have finished within the cap."""
+
+    # (delta, g, omega, phi, t_final, rel_tol, abs_tol): the free oscillation
+    # of F at a large delta, at the phase that excites it least; a weak or a
+    # fast drive; loose tolerances; strong drives, a slow one included,
+    # whose passes near a pole are the softest measured
+    GRID = [
+        (1.0e3, 0.05, 1.0, 0.0, 0.2, 1e-12, 1e-14),
+        (1.0e3, 0.05, 1.0, np.pi / 2, 0.2, 1e-12, 1e-14),
+        (1.0e3, 0.05, 1.0, 0.0, 0.2, 1e-8, 1e-14),
+        (1.0e3, 0.05, 1.0, 0.0, 1.0, 1e-12, 1e-8),
+        (30.0, 0.01, 1.0, 0.0, 10.0, 1e-12, 1e-14),
+        (30.0, 0.01, 0.3, 0.0, 0.1, 1e-12, 1e-14),
+        (10.0, 0.1, 1.0, 1.2, 10.0, 1e-12, 1e-14),
+        (30.0, 0.01, 1.0, 0.0, 10.0, 1e-12, 1e-3),
+        (30.0, 0.01, 1.0, 0.0, 10.0, 1e-12, 1.0),
+        (1.0, 1e-8, 100.0, 0.0, 10.0, 1e-12, 1e-14),
+        (1.0, 0.05, 1.0e3, 0.0, 0.3, 1e-12, 1e-14),
+        (1.0, 0.05, 1.0, 0.0, 50.0, 1e-12, 1e-3),
+        (1.0, 300.0, 1.0, 0.0, 0.1, 1e-12, 1e-14),
+        (1.0, 300.0, 1.0, 0.0, 0.1, 1e-8, 1e-6),
+        (1.0, 300.0, 1.0, 0.0, 0.1, 1e-12, 1.0),
+        (1.231, 15.93, 0.2622, -2.107, 10.0, 1.75e-11, 1.24e-13),
+    ]
+
+    @pytest.mark.parametrize("case", GRID)
+    def test_at_most_the_measured_count(self, case, monkeypatch):
+        *params, t_final, rel_tol, abs_tol = case
+        p = DriveParams(*params)
+        floor, _ = semiclassical._evaluation_floor(p, t_final, rel_tol, abs_tol)
+        assert floor <= _count_evaluations(monkeypatch, p, t_final, rel_tol, abs_tol)
+
+    def test_delta_part_is_within_a_factor_of_the_count(self, monkeypatch):
+        # scipy's controller steps 0.9 below the largest step the error
+        # norm admits, so the free-oscillation part reads about 0.9
+        p = DriveParams(1.0e3, 0.05, 1.0)
+        floor, name = semiclassical._evaluation_floor(p, 0.2, 1e-12, 1e-14)
+        assert name == "delta"
+        assert 0.8 < floor / _count_evaluations(monkeypatch, p, 0.2) < 1
+
+    @pytest.mark.parametrize(
+        "params,t_final,name",
+        [((1.0e3, 0.05, 1.0), 50.0, "delta"), ((1.0, 1.0e4, 1.0), 10.0, "g")],
+    )
+    def test_refuses_a_hopeless_solve_at_once(self, params, t_final, name, monkeypatch):
+        monkeypatch.setattr(semiclassical, "_riccati_field", _unreachable)
+        p = DriveParams(*params)
+        assert semiclassical._evaluation_floor(p, t_final, 1e-12, 1e-14)[1] == name
+        with pytest.raises(StiffnessError, match=rf"at least .* at this {name}\)"):
+            solve_beyond_rwa(p, KET0, sample_grid(0.0, t_final, 0.1))
+
+    def test_admits_a_solvable_strong_drive(self):
+        # g = 50 to t = 10 takes about 1.15 million evaluations
+        floor, _ = semiclassical._evaluation_floor(DriveParams(1.0, 50.0, 1.0), 10.0, 1e-12, 1e-14)
+        assert 0 < floor < semiclassical.MAX_STATE_ENTRIES
+
+    def test_admits_a_large_delta_at_a_quiet_phase(self):
+        # at phi = pi/2 the drive leaves F almost no free oscillation: this
+        # solve takes about 2.7 million evaluations, within the cap
+        p = DriveParams(1.0e3, 0.05, 1.0, np.pi / 2)
+        floor, _ = semiclassical._evaluation_floor(p, 50.0, 1e-12, 1e-14)
+        assert floor < semiclassical.MAX_STATE_ENTRIES
+
+
+class TestPropagatorOracle:
+    """F = i U01/U11 and H = i U10/U11 invert reconstruct_disentangled, so
+    propagate_periodic, which shares no code with the stepper, gives F and H
+    from the propagator U."""
+
+    P = DriveParams(delta=1.0, g=0.05, omega=1.0)
+
+    def oracle(self, times):
+        columns = [
+            propagate_periodic(
+                lambda t: hamiltonian_full(t, self.P), 2 * np.pi, e, times, IntegratorConfig()
+            ).states
+            for e in np.eye(2, dtype=complex)
+        ]
+        u = np.stack(columns, axis=-1)
+        return 1j * u[:, 0, 1] / u[:, 1, 1], 1j * u[:, 1, 0] / u[:, 1, 1]
+
+    def test_f_and_h_match_the_stepper(self):
+        times = sample_grid(0.0, 50.0, 0.1)  # rabi_riccati's grid
+        out, stop = semiclassical._rk45(
+            self.P, times.tolist(), 1e-12, 1e-14, semiclassical.POLE_GUARD_F
+        )
+        assert stop is None
+        f, _, h = np.array(out).T
+        f_oracle, h_oracle = self.oracle(times)
+        assert np.abs(f_oracle).max() > 30  # near a pole, where the route is hardest
+        assert np.abs(f - f_oracle).max() < 1e-8
+        assert np.abs(h - h_oracle).max() < 1e-8
+
+    def test_pole_time_lies_between_the_oracle_samples(self):
+        with pytest.raises(RiccatiPoleError) as excinfo:
+            solve_beyond_rwa(self.P, KET0, sample_grid(0.0, 50.0, 0.1), f_max=10.0)
+        times = sample_grid(0.0, 50.0, 0.001)
+        first = np.argmax(np.abs(self.oracle(times)[0]) > 10.0)
+        assert first > 0
+        assert times[first - 1] < excinfo.value.t_pole <= times[first]
+
+
 class TestStepperAgainstScipy:
     """The Riccati route's own Dormand-Prince stepper takes the steps of
     scipy's RK45 at the same tolerances."""
