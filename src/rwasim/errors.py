@@ -15,24 +15,23 @@ class StiffnessError(SimulationError):
 
 
 class RiccatiPoleError(SimulationError):
-    """The disentangling integration approached a pole of the Riccati variable.
+    """The disentangling integration approached a pole of the Riccati
+    variable F: |F| reached its blow-up guard f_max.
 
     Attributes
     ----------
     t_pole : float
-        Time at which the pole guard fired.
+        Time at which |F| reached the guard.
     partial : TimeSeries or None
         Samples accumulated before the guard fired, if any.
     """
 
-    def __init__(self, t_pole, partial=None, reason=""):
+    def __init__(self, t_pole, partial=None):
         self.t_pole = float(t_pole)
         self.partial = partial
-        self.reason = reason
-        msg = f"Riccati pole approached near t = {t_pole:.6g}"
-        if reason:
-            msg += f" ({reason})"
-        super().__init__(msg)
+        super().__init__(
+            f"Riccati pole approached near t = {t_pole:.6g} (|F| beyond blow-up guard)"
+        )
 
 
 class ScenarioError(ValueError):

@@ -208,20 +208,11 @@ class DisentangleState:
 
 
 POLE_GUARD_F = 1e8
-POLE_GUARD_G = 1e-12
-
-_GUARD_REASONS = ("|1 + iG| below pole tolerance", "|F| beyond blow-up guard")
 
 
 def _riccati_field(t, f, g_fun, p):
     d = 2.0 * p.g * math.cos(_drive_phase(t, p))
     return d * (1.0 + f * f) + 1j * p.delta * f, -p.delta + 2j * d * f, d * cmath.exp(-1j * g_fun)
-
-
-def _guard_margins(f, g_fun, f_max, pole_tol):
-    # distance of |1 + iG| above pole_tol and of |F| below f_max, in the
-    # order of _GUARD_REASONS; a guard fires once its margin is negative
-    return abs(1.0 + 1j * g_fun) - pole_tol, f_max - abs(f)
 
 
 def _check_f_max(f_max):
@@ -240,13 +231,12 @@ def riccati_rhs(s, t, p, f_max=POLE_GUARD_F):
     e^{-iG tau_3} sigma_- e^{iG tau_3} = e^{iG} sigma_- exactly, sigma_- being
     an eigenvector of the adjoint action of tau_3.
 
-    Raises RiccatiPoleError when |1 + iG| < POLE_GUARD_G or |F| > f_max, and
-    ValueError unless f_max is positive and finite.
+    Raises RiccatiPoleError when |F| > f_max, and ValueError unless f_max is
+    positive and finite.
     """
     _check_f_max(f_max)
-    for margin, reason in zip(_guard_margins(s.f, s.g_fun, f_max, POLE_GUARD_G), _GUARD_REASONS):
-        if margin < 0:
-            raise RiccatiPoleError(t, reason=reason)
+    if abs(s.f) > f_max:
+        raise RiccatiPoleError(t)
     df, dg, dh = _riccati_field(t, s.f, s.g_fun, p)
     return DisentangleState(f=df, g_fun=dg, h=dh)
 
@@ -327,15 +317,15 @@ def _dense_output(t_old, h, y_old, ks):
     return y_at
 
 
-def _crossing(y_at, k, f_max, lo, hi):
-    # bisect [lo, hi], across which guard k of _guard_margins changes sign on
-    # the dense output y_at, down to adjacent floats
-    def positive(s):
-        return _guard_margins(*y_at(s)[:2], f_max, POLE_GUARD_G)[k] > 0
+def _crossing(y_at, f_max, lo, hi):
+    # bisect [lo, hi], across which |F| passes f_max on the dense output
+    # y_at, down to adjacent floats
+    def below(s):
+        return abs(y_at(s)[0]) < f_max
 
-    side = positive(lo)
+    side = below(lo)
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if positive(mid) == side:
+        if below(mid) == side:
             lo = mid
         else:
             hi = mid
@@ -346,6 +336,11 @@ def _crossing(y_at, k, f_max, lo, hi):
 # every step h (checked for nu h up to 60), which caps the step that an
 # error norm below 1 admits on a free oscillation
 _DP_FREE_ERROR = 8.08e-4
+# A step's error estimate on y' = 2 cos(omega t) is 2 K (omega h)^5
+# |cos(omega t + theta)| / omega, with K >= 1.08e-5 for omega h <= 1; the
+# step count weighs |cos| by its mean fifth root, whose fifth power is
+# 0.537, which gives this times (omega h)^5 / omega (1.16e-5, rounded down)
+_DP_FORCED_ERROR = 1.1e-5
 # a pass near a pole of F counts where |2 g cos(omega t + phi)| exceeds
 # _SHARP_DRIVE times max(delta, omega)
 _SHARP_DRIVE = 10.0
@@ -353,15 +348,20 @@ _SHARP_DRIVE = 10.0
 
 def _evaluation_floor(p, t_final, rtol, atol):
     """A lower bound on the field evaluations of a solve to t_final, and the
-    parameter that sets it; (0.0, "") where neither estimate applies.
+    parameter that sets it; (0.0, "") where no estimate applies.
 
-    delta: while |F| <= m = 4 g delta / |delta^2 - omega^2| <= 0.1, linear
-    response from F(0) = 0 gives F a free oscillation e^{i delta t} of
-    amplitude a = g |e^{i phi}/(delta - omega) + e^{-i phi}/(delta + omega)|.
-    An accepted step keeps its error estimate, at least a _DP_FREE_ERROR
-    (delta h)^5, below sqrt(3) (atol + rtol m), the RMS norm over three
-    components being below 1; scipy's controller aims 0.9 times below that
-    step, so this part reads at most about 0.9 of the measured count.
+    delta and omega: while |F| and |H| stay below m = 4 g max(delta, omega)
+    / |delta^2 - omega^2| <= 0.1, linear response from F(0) = H(0) = 0 gives
+    F a free oscillation e^{i delta t} of amplitude a = g |e^{i phi}/(delta -
+    omega) + e^{-i phi}/(delta + omega)|, and F and H a forced one at the
+    rate omega whose derivatives have amplitude 2 g. An accepted step keeps
+    its error estimate below sqrt(3) (atol + rtol m), the RMS norm over
+    three components being below 1. That estimate is at least a
+    _DP_FREE_ERROR (delta h)^5 on the first, and on the second, averaged
+    over the drive's phase, _DP_FORCED_ERROR (omega h)^5 g / omega, which
+    counts only where it admits no step beyond omega h = 1. scipy's
+    controller aims 0.9 times below that step, so the delta part reads at
+    most about 0.9 of the measured count and the omega part about 0.8.
 
     g: where the drive exceeds _SHARP_DRIVE max(delta, omega), F follows
     tan of the drive's integral (2 g / omega) sin(omega t + phi) and passes
@@ -371,12 +371,14 @@ def _evaluation_floor(p, t_final, rtol, atol):
     crossings are counted inside each, clipped to [0, t_final].
     """
     delta, g, omega, phi = p.delta, p.g, p.omega, math.fmod(p.phi, math.tau)
-    bounds = [(0.0, "")]
-    if delta != omega and (m := 4 * g * delta / abs(delta - omega) / (delta + omega)) <= 0.1:
+    bounds, fastest = [(0.0, "")], max(delta, omega)
+    if delta != omega and (m := 4 * g * fastest / abs(delta - omega) / (delta + omega)) <= 0.1:
+        tol = math.sqrt(3) * (atol + rtol * m)
         a = g * abs(cmath.exp(1j * phi) / (delta - omega) + cmath.exp(-1j * phi) / (delta + omega))
-        steps = t_final * delta * (a * _DP_FREE_ERROR / (math.sqrt(3) * (atol + rtol * m))) ** 0.2
-        bounds.append((6 * steps, "delta"))
-    c = _SHARP_DRIVE * max(delta, omega) / (2 * g) if g > 0 else math.inf
+        bounds.append((6 * t_final * delta * (a * _DP_FREE_ERROR / tol) ** 0.2, "delta"))
+        if (per_radian := (g / omega * _DP_FORCED_ERROR / tol) ** 0.2) >= 1:
+            bounds.append((6 * t_final * omega * per_radian, "omega"))
+    c = _SHARP_DRIVE * fastest / (2 * g) if g > 0 else math.inf
     span, th0, th1 = 2 * g / omega, phi, omega * t_final + phi
     if c < 1 and math.isfinite(span * th1):  # an overflow leaves it to the running count
         half = math.acos(c)
@@ -401,13 +403,13 @@ def _rk45(p, grid, rtol, atol, f_max):
     grid[-1] with the steps of scipy's RK45 at these tolerances, on lists
     [F, G, H] of complex numbers.
 
-    Returns the states at the grid times, from the dense output, and
-    (t_stop, k) if guard k of _guard_margins changed sign at t_stop (then
-    only the grid times up to t_stop are sampled), else None. A step attempt
-    whose arithmetic overflows counts as a rejected step. It counts the
-    evaluations of the field, 2 before the first step and 6 per attempt, and
-    raises StiffnessError before an attempt would pass MAX_STATE_ENTRIES, or
-    before the first step if _evaluation_floor already does.
+    Returns the states at the grid times, from the dense output, and the
+    time at which |F| reached f_max (then only the grid times up to it are
+    sampled), else None. A step attempt whose arithmetic overflows counts as
+    a rejected step. It counts the evaluations of the field, 2 before the
+    first step and 6 per attempt, and raises StiffnessError before an
+    attempt would pass MAX_STATE_ENTRIES, or before the first step if
+    _evaluation_floor already does.
     """
     y, t_bound = [0j, 0j, 0j], grid[-1]
     if not t_bound > 0:  # no step to take, as in scipy
@@ -420,7 +422,6 @@ def _rk45(p, grid, rtol, atol, f_max):
         h_abs = _initial_step(p, y, f, t_bound, rtol, atol)
     except (OverflowError, ValueError):
         h_abs = 0.0
-    old = _guard_margins(0j, 0j, f_max, POLE_GUARD_G)
     while t < t_bound:
         min_step = 10 * math.ulp(t)
         h_abs, rejected = max(h_abs, min_step), False
@@ -457,18 +458,14 @@ def _rk45(p, grid, rtol, atol, f_max):
             h_abs *= max(0.2, 0.9 * error**-0.2)
             rejected = True
         t_old, y_old, t, y, f = t, y, t_new, y_new, [k[-1] for k in ks]
-        new = _guard_margins(y[0], y[1], f_max, POLE_GUARD_G)
-        fired = [k for k, (a, b) in enumerate(zip(old, new)) if a <= 0 <= b or a >= 0 >= b]
-        old, stop, t_end = new, None, t
-        if fired or (len(out) < len(grid) and grid[len(out)] <= t):
+        pole = abs(y[0]) >= f_max
+        if pole or (len(out) < len(grid) and grid[len(out)] <= t):
             y_at = _dense_output(t_old, h, y_old, ks)
-        if fired:
-            stop = min((_crossing(y_at, k, f_max, t_old, t), k) for k in fired)
-            t_end = stop[0]
+        t_end = _crossing(y_at, f_max, t_old, t) if pole else t
         while len(out) < len(grid) and grid[len(out)] <= t_end:
             out.append(y_at(grid[len(out)]))
-        if stop is not None:
-            return out, stop
+        if pole:
+            return out, t_end
     return out, None
 
 
@@ -488,7 +485,7 @@ def solve_beyond_rwa(
 
     The integration halts at a Riccati pole: RiccatiPoleError is raised with
     the pole time and the trajectory accumulated so far attached. A failure
-    of the step control before either guard fired raises StiffnessError, and
+    of the step control before the |F| guard fired raises StiffnessError, and
     so does a solve that needs more than MAX_STATE_ENTRIES evaluations of
     the right-hand side: at once if a lower bound on its count already does
     (_evaluation_floor), else when its running count reaches the cap.
@@ -498,11 +495,9 @@ def solve_beyond_rwa(
     psi0, times = checked_start(p, psi0, times)
 
     # scipy lifts a rel_tol below 100 machine epsilons to that floor
-    out, stop = _rk45(p, times.tolist(), max(rel_tol, 100 * math.ulp(1.0)), abs_tol, f_max)
+    out, t_pole = _rk45(p, times.tolist(), max(rel_tol, 100 * math.ulp(1.0)), abs_tol, f_max)
     states = reconstruct_disentangled(DisentangleState(*np.array(out).T)) @ psi0
-    if stop is not None:
-        t_pole, which = stop
-        partial = TimeSeries(times[: len(out)], states)
-        raise RiccatiPoleError(t_pole, partial=partial, reason=_GUARD_REASONS[which])
+    if t_pole is not None:
+        raise RiccatiPoleError(t_pole, partial=TimeSeries(times[: len(out)], states))
     # all the times: a grid that does not increase fails here, not cut short
     return TimeSeries(times, states)

@@ -913,11 +913,15 @@ class TestCli:
         assert "pole" not in err.lower()
         assert not (tmp_path / "scenario.csv").exists()
 
-    # rabi_riccati.yaml with a large splitting, and README's large coupling:
-    # each ran 30 s or more to the evaluation cap
+    # rabi_riccati.yaml with a large splitting or drive frequency, and
+    # README's large coupling: each ran 30 s or more to the evaluation cap
     @pytest.mark.parametrize(
         "params,top,name",
-        [({"delta": 1.0e3}, {}, "delta"), ({"g": 1.0e4}, {"t_final": 10.0}, "g")],
+        [
+            ({"delta": 1.0e3}, {}, "delta"),
+            ({"g": 1.0e4}, {"t_final": 10.0}, "g"),
+            ({"omega": 1.0e4}, {}, "omega"),
+        ],
     )
     def test_hopeless_riccati_solve_is_a_prompt_solver_error(
         self, tmp_path, capsys, params, top, name

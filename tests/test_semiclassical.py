@@ -297,10 +297,16 @@ class TestRiccati:
 
     def test_pole_guards(self):
         p = DriveParams(delta=1.0, g=0.1, omega=1.0)
-        with pytest.raises(RiccatiPoleError):
-            riccati_rhs(DisentangleState(0.0, 1j, 0.0), 0.0, p)  # 1 + iG = 0
-        with pytest.raises(RiccatiPoleError):
+        with pytest.raises(RiccatiPoleError, match=r"\|F\| beyond blow-up guard"):
             riccati_rhs(DisentangleState(1e9, 0.0, 0.0), 0.0, p)
+
+    def test_finite_where_iG_is_minus_one(self):
+        # G enters only through e^{-iG}, so the field is regular at G = i
+        p = DriveParams(delta=1.0, g=0.1, omega=1.0)
+        d = riccati_rhs(DisentangleState(0.0, 1j, 0.0), 0.0, p)
+        assert d.f == pytest.approx(2 * p.g)
+        assert d.g_fun == pytest.approx(-p.delta)
+        assert d.h == pytest.approx(2 * p.g * np.e)
 
     def test_finite_on_smooth_trajectory(self):
         p = DriveParams(delta=1.0, g=0.05, omega=1.0)
@@ -480,7 +486,8 @@ class TestEvaluationFloor:
     # (delta, g, omega, phi, t_final, rel_tol, abs_tol): the free oscillation
     # of F at a large delta, at the phase that excites it least; a weak or a
     # fast drive; loose tolerances; strong drives, a slow one included,
-    # whose passes near a pole are the softest measured
+    # whose passes near a pole are the softest measured; the forced
+    # oscillation at a large omega
     GRID = [
         (1.0e3, 0.05, 1.0, 0.0, 0.2, 1e-12, 1e-14),
         (1.0e3, 0.05, 1.0, np.pi / 2, 0.2, 1e-12, 1e-14),
@@ -498,6 +505,9 @@ class TestEvaluationFloor:
         (1.0, 300.0, 1.0, 0.0, 0.1, 1e-8, 1e-6),
         (1.0, 300.0, 1.0, 0.0, 0.1, 1e-12, 1.0),
         (1.231, 15.93, 0.2622, -2.107, 10.0, 1.75e-11, 1.24e-13),
+        (1.0, 0.05, 1.0e2, 0.0, 5.0, 1e-12, 1e-14),
+        (1.0, 0.05, 1.0e3, 0.0, 5.0, 1e-12, 1e-14),
+        (1.0, 0.05, 1.0e4, 0.0, 0.5, 1e-12, 1e-14),
     ]
 
     @pytest.mark.parametrize("case", GRID)
@@ -515,9 +525,19 @@ class TestEvaluationFloor:
         assert name == "delta"
         assert 0.8 < floor / _count_evaluations(monkeypatch, p, 0.2) < 1
 
+    def test_omega_part_is_within_a_factor_of_the_count(self, monkeypatch):
+        p = DriveParams(1.0, 0.05, 1.0e2)
+        floor, name = semiclassical._evaluation_floor(p, 5.0, 1e-12, 1e-14)
+        assert name == "omega"
+        assert 0.7 < floor / _count_evaluations(monkeypatch, p, 5.0) < 0.9
+
     @pytest.mark.parametrize(
         "params,t_final,name",
-        [((1.0e3, 0.05, 1.0), 50.0, "delta"), ((1.0, 1.0e4, 1.0), 10.0, "g")],
+        [
+            ((1.0e3, 0.05, 1.0), 50.0, "delta"),
+            ((1.0, 1.0e4, 1.0), 10.0, "g"),
+            ((1.0, 0.05, 1.0e4), 50.0, "omega"),
+        ],
     )
     def test_refuses_a_hopeless_solve_at_once(self, params, t_final, name, monkeypatch):
         monkeypatch.setattr(semiclassical, "_riccati_field", _unreachable)
@@ -537,6 +557,14 @@ class TestEvaluationFloor:
         p = DriveParams(1.0e3, 0.05, 1.0, np.pi / 2)
         floor, _ = semiclassical._evaluation_floor(p, 50.0, 1e-12, 1e-14)
         assert floor < semiclassical.MAX_STATE_ENTRIES
+
+    def test_admits_a_solvable_fast_drive(self):
+        # omega = 1e3 to t = 50 takes about 3.1 million evaluations
+        floor, name = semiclassical._evaluation_floor(
+            DriveParams(1.0, 0.05, 1.0e3), 50.0, 1e-12, 1e-14
+        )
+        assert name == "omega"
+        assert 0 < floor < semiclassical.MAX_STATE_ENTRIES
 
 
 class TestPropagatorOracle:
@@ -586,14 +614,10 @@ class TestStepperAgainstScipy:
         from scipy.integrate import solve_ivp
 
         p, integ = scenario.params, scenario.integrator
-        events = [
-            lambda t, y, k=k: semiclassical._guard_margins(
-                y[0], y[1], f_max, semiclassical.POLE_GUARD_G
-            )[k]
-            for k in (0, 1)
-        ]
-        for event in events:
-            event.terminal = True
+        def event(t, y):
+            return f_max - abs(y[0])
+
+        event.terminal = True
         sol = solve_ivp(
             lambda t, y: np.array(semiclassical._riccati_field(t, y[0], y[1], p)),
             (0.0, scenario.t_final),
@@ -602,7 +626,7 @@ class TestStepperAgainstScipy:
             rtol=integ.rel_tol,
             atol=integ.abs_tol,
             t_eval=sample_grid(0.0, scenario.t_final, scenario.dt),
-            events=events,
+            events=event,
         )
         states = reconstruct_disentangled(DisentangleState(*sol.y)) @ KET0
         t_events = [te[0] for te in sol.t_events if te.size]
