@@ -51,12 +51,10 @@ def _cmd_run(args):
     try:
         result = run_scenario(scenario)
     except RiccatiPoleError as exc:
-        if exc.partial is not None:
-            exc.partial.flags.add("riccati_pole")
-            partial = attach_observables(scenario, exc.partial)
-            with _writing(out):
-                write_timeseries(partial, out, extra_meta={"riccati-pole-time": repr(exc.t_pole)})
-            print(f"wrote partial trajectory to {out}", file=sys.stderr)
+        partial = attach_observables(scenario, exc.partial)
+        with _writing(out):
+            write_timeseries(partial, out, extra_meta={"riccati-pole-time": repr(exc.t_pole)})
+        print(f"wrote partial trajectory to {out}", file=sys.stderr)
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     with _writing(out):

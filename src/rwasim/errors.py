@@ -23,7 +23,8 @@ class RiccatiPoleError(SimulationError):
     t_pole : float
         Time at which |F| reached the guard.
     partial : TimeSeries or None
-        Samples accumulated before the guard fired, if any.
+        From solve_beyond_rwa, the samples before the guard fired, cut before
+        the first row whose norm is not finite and flagged riccati_pole.
     """
 
     def __init__(self, t_pole, partial=None):

@@ -86,11 +86,23 @@ class TimeSeries:
     flags: set = field(init=False, default_factory=set)
 
     def __post_init__(self):
-        if not np.all(np.diff(self.times) > 0):  # negated, so that NaN fails
-            raise ValueError("times must be strictly increasing")
+        _check_increasing(self.times)
         if self.states.shape[0] != self.times.shape[0]:
             raise ValueError("one state per sample required")
         self.norms = np.linalg.norm(self.states, axis=1)
+
+
+def _check_increasing(times):
+    if not np.all(np.diff(times) > 0):  # negated, so that NaN fails
+        raise ValueError("times must be strictly increasing")
+
+
+def finite_rows(series):
+    """The number of rows before the first whose norm is not finite: a NaN or
+    infinite amplitude makes the norm non-finite, and so does a finite
+    amplitude whose square overflows, which would put inf in the columns."""
+    finite = np.isfinite(series.norms)
+    return finite.size if finite.all() else int(np.argmin(finite))
 
 
 def sample_grid(t0, t1, dt):
@@ -117,10 +129,11 @@ def sample_grid(t0, t1, dt):
 
 def checked_times(times):
     """`times` as a float array; ValueError unless it is 1-D and non-empty, from
-    t >= 0 (not NaN) to a finite time. TimeSeries checks that they increase."""
+    t >= 0 (not NaN) to a finite time, and strictly increasing."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or not times.size or not times[0] >= 0 or not np.isfinite(times[-1]):
         raise ValueError("times must be a 1-D grid from t >= 0 to a finite time")
+    _check_increasing(times)
     return times
 
 
@@ -331,7 +344,7 @@ def _matmul(a, b):
 
 def _initial_state(psi0):
     psi = np.asarray(psi0, dtype=complex).copy()
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:  # negated, so that NaN fails
         raise ValueError("initial state must be normalized")
     return psi
 

@@ -19,12 +19,13 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .errors import RiccatiPoleError, ScenarioError, SimulationError
+from .errors import ScenarioError, SimulationError
 from .fock import slots, top_level_population
 from .integrator import (
     MAX_STATE_ENTRIES,
     IntegratorConfig,
     TimeSeries,
+    finite_rows,
     propagate_periodic,
     sample_grid,
 )
@@ -362,34 +363,17 @@ class RunResult:
 def run_scenario(scenario):
     """Execute one scenario and attach the requested observable columns.
 
-    RiccatiPoleError raised by the semiclassical-riccati pathway propagates
-    to the caller with the partial trajectory attached, cut before its first
-    row whose norm is not finite. A full run with such a row is a
-    SimulationError.
+    A run with a row whose norm is not finite is a SimulationError.
     """
     times = sample_grid(0.0, scenario.resolved_t_final(), scenario.dt)
     # an overflow is reported by the finite-norm check below, not by warnings
     with np.errstate(all="ignore"):
-        try:
-            series = MODELS[scenario.model].solve(scenario, scenario.initial_vector(), times)
-        except RiccatiPoleError as exc:
-            if exc.partial is not None:
-                k = _finite_rows(exc.partial)
-                exc.partial = TimeSeries(exc.partial.times[:k], exc.partial.states[:k])
-            raise
-    k = _finite_rows(series)
+        series = MODELS[scenario.model].solve(scenario, scenario.initial_vector(), times)
+    k = finite_rows(series)
     if k < series.times.size:
         t_bad = float(series.times[k])
         raise SimulationError(f"{scenario.model}: the state is not finite from t = {t_bad!r} on")
     return attach_observables(scenario, series)
-
-
-def _finite_rows(series):
-    # the number of rows before the first whose norm is not finite: a NaN or
-    # infinite amplitude makes the norm non-finite, and so does a finite
-    # amplitude whose square overflows, which would put inf in the columns
-    finite = np.isfinite(series.norms)
-    return finite.size if finite.all() else int(np.argmin(finite))
 
 
 def attach_observables(scenario, series):

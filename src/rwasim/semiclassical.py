@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RiccatiPoleError, StiffnessError
-from .integrator import MAX_STATE_ENTRIES, IntegratorConfig, TimeSeries, checked_start
+from .integrator import MAX_STATE_ENTRIES, IntegratorConfig, TimeSeries, checked_start, finite_rows
 from .linalg import RESONANCE_TOL
 
 __all__ = [
@@ -294,12 +294,11 @@ def _rms(values, scale):
     return math.hypot(*(abs(v) / s for v, s in zip(values, scale))) / math.sqrt(len(scale))
 
 
-def _initial_step(p, y, f, t_bound, rtol, atol):
-    # Hairer, Norsett & Wanner, Solving ODEs I, II.4, as scipy computes it
-    scale = [atol + abs(v) * rtol for v in y]
-    d0, d1 = _rms(y, scale), _rms(f, scale)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_bound)
-    f1 = _riccati_field(h0, y[0] + h0 * f[0], y[1] + h0 * f[1], p)
+def _initial_step(p, f, t_bound, atol):
+    # Hairer, Norsett & Wanner, Solving ODEs I, II.4, as scipy computes it at y = 0
+    scale = [atol] * 3
+    d1, h0 = _rms(f, scale), min(1e-6, t_bound)
+    f1 = _riccati_field(h0, h0 * f[0], h0 * f[1], p)
     d2 = _rms([a - b for a, b in zip(f1, f)], scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         return min(100 * h0, max(1e-6, h0 * 1e-3), t_bound)
@@ -419,7 +418,7 @@ def _rk45(p, grid, rtol, atol, f_max):
         raise _over_budget(f" (at least {floor:.3g} at this {name})")
     t, f, out, evals = 0.0, _riccati_field(0.0, 0j, 0j, p), [], 2
     try:
-        h_abs = _initial_step(p, y, f, t_bound, rtol, atol)
+        h_abs = _initial_step(p, f, t_bound, atol)
     except (OverflowError, ValueError):
         h_abs = 0.0
     while t < t_bound:
@@ -484,7 +483,8 @@ def solve_beyond_rwa(
     the first step.
 
     The integration halts at a Riccati pole: RiccatiPoleError is raised with
-    the pole time and the trajectory accumulated so far attached. A failure
+    the pole time and the trajectory sampled so far attached, cut before its
+    first row whose norm is not finite and flagged riccati_pole. A failure
     of the step control before the |F| guard fired raises StiffnessError, and
     so does a solve that needs more than MAX_STATE_ENTRIES evaluations of
     the right-hand side: at once if a lower bound on its count already does
@@ -496,8 +496,11 @@ def solve_beyond_rwa(
 
     # scipy lifts a rel_tol below 100 machine epsilons to that floor
     out, t_pole = _rk45(p, times.tolist(), max(rel_tol, 100 * math.ulp(1.0)), abs_tol, f_max)
-    states = reconstruct_disentangled(DisentangleState(*np.array(out).T)) @ psi0
-    if t_pole is not None:
-        raise RiccatiPoleError(t_pole, partial=TimeSeries(times[: len(out)], states))
-    # all the times: a grid that does not increase fails here, not cut short
-    return TimeSeries(times, states)
+    states = reconstruct_disentangled(DisentangleState(*np.reshape(out, (-1, 3)).T)) @ psi0
+    series = TimeSeries(times[: len(out)], states)
+    if t_pole is None:
+        return series
+    k = finite_rows(series)
+    partial = TimeSeries(times[:k], states[:k])
+    partial.flags.add("riccati_pole")
+    raise RiccatiPoleError(t_pole, partial=partial)

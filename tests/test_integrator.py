@@ -349,6 +349,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             integrate(lambda t: pauli(3).astype(complex), 2 * KET0, 0.0, 1.0, cfg)
 
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_a_non_finite_initial_state(self, amplitude):
+        # a NaN norm must fail the check, not give an all-NaN trajectory
+        p = DriveParams(delta=1.0, g=0.1, omega=1.0)
+        psi0 = np.array([amplitude, 0.0], dtype=complex)
+        cfg = IntegratorConfig(method="rk4-fixed", dt=0.1)
+        with pytest.raises(ValueError, match="initial state must be normalized"):
+            integrate(lambda t: hamiltonian_full(t, p), psi0, 0.0, 1.0, cfg)
+        with pytest.raises(ValueError, match="initial state must be normalized"):
+            propagate_periodic(
+                lambda t: hamiltonian_full(t, p), 2 * np.pi, psi0, sample_grid(0.0, 1.0, 0.1), cfg
+            )
+
     def test_rejects_bad_interval(self):
         cfg = IntegratorConfig(dt=0.1)
         with pytest.raises(ValueError):

@@ -596,6 +596,7 @@ class TestCli:
             times=np.array([0.0, 0.1]),
             states=np.array([[1, 0], [1, 0]], dtype=complex),
         )
+        partial.flags.add("riccati_pole")  # as solve_beyond_rwa hands it back
 
         def fail(scenario):
             raise RiccatiPoleError(0.2, partial=partial)

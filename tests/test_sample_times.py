@@ -105,6 +105,32 @@ def test_rejects_a_wrong_size_state_before_solving(route, shape, monkeypatch):
         solve(p, np.ones(shape(p.dim)), sample_grid(0.0, 1.0, 0.1))
 
 
+def _swapped_grid():
+    times = sample_grid(0.0, 50.0, 0.1)
+    times[[10, 11]] = times[[11, 10]]
+    return times
+
+
+@pytest.mark.parametrize("route", PARAMS_ROUTES)
+def test_rejects_a_swapped_grid_before_solving(route, monkeypatch):
+    solve, p, kernel = PARAMS_ROUTES[route]
+    monkeypatch.setattr(kernel, _unreachable)
+    with pytest.raises(ValueError, match="times must be strictly increasing"):
+        solve(p, np.eye(2 * p.dim)[0], _swapped_grid())
+
+
+def test_periodic_rejects_a_swapped_grid_before_solving(monkeypatch):
+    monkeypatch.setattr("rwasim.integrator._magnus", _unreachable)
+    with pytest.raises(ValueError, match="times must be strictly increasing"):
+        propagate_periodic(
+            lambda t: hamiltonian_full(t, DP),
+            2 * np.pi,
+            DRIVE_STATE,
+            _swapped_grid(),
+            IntegratorConfig(),
+        )
+
+
 def test_riccati_rejects_a_wrong_size_state_at_once():
     # the solve this would take runs for seconds and ends in StiffnessError
     p = DriveParams(delta=1.0e3, g=0.05, omega=1.0)

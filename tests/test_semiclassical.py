@@ -604,6 +604,14 @@ class TestPropagatorOracle:
         assert first > 0
         assert times[first - 1] < excinfo.value.t_pole <= times[first]
 
+    def test_pole_before_the_first_sample_leaves_an_empty_partial(self):
+        with pytest.raises(RiccatiPoleError) as excinfo:
+            solve_beyond_rwa(self.P, KET0, np.array([49.9, 50.0]), f_max=10.0)
+        assert excinfo.value.t_pole < 49.9
+        partial = excinfo.value.partial
+        assert partial.states.shape == (0, 2)
+        assert partial.flags == {"riccati_pole"}
+
 
 class TestStepperAgainstScipy:
     """The Riccati route's own Dormand-Prince stepper takes the steps of
@@ -675,6 +683,17 @@ class TestStepperAgainstScipy:
         assert abs(err.t_pole - t_event) < 1e-9
         assert err.partial.times.size == sol.t.size
         assert np.abs(err.partial.states - states).max() < 1e-11
+
+    def test_partial_is_finite_and_flagged(self, scenario):
+        # tolerances this loose overflow the squares of the amplitudes before
+        # the pole: the partial ends before its first row that is not finite
+        times = sample_grid(0.0, scenario.t_final, scenario.dt)
+        with np.errstate(all="ignore"), pytest.raises(RiccatiPoleError) as excinfo:
+            solve_beyond_rwa(scenario.params, KET0, times, rel_tol=2048.0)
+        partial = excinfo.value.partial
+        assert partial.times.size > 0
+        assert np.isfinite(partial.norms).all()
+        assert partial.flags == {"riccati_pole"}
 
 
 class TestDriveParams:
