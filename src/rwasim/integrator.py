@@ -30,10 +30,12 @@ __all__ = [
 
 _HERMITIAN_TOL = 1e-10
 
-# The complex entries of the largest array one run may allocate: a
-# trajectory (samples times state dimension, checked when a scenario is
-# parsed) or one period's Magnus steps (steps times dim**2). 2**22 entries
-# are 64 MiB.
+# The complex entries of the largest trajectory one run may allocate
+# (samples times state dimension, checked when a scenario is parsed); 2**22
+# entries are 64 MiB. It also caps the Magnus steps of one period at
+# MAX_STATE_ENTRIES / dim**2 (2**20 for a 2x2 H), a cap on work rather than
+# memory, since _magnus holds _CHUNK_STEPS of them at a time: a large ||H||
+# reaches it, and so do more distinct sample phases than that.
 MAX_STATE_ENTRIES = 2**22
 
 # The two Gauss-Legendre nodes of a unit step, and the weight of the
@@ -154,7 +156,9 @@ def _checked_h(h_of_t, dim):
         m = np.asarray(h_of_t(t), dtype=complex)
         shape = (*np.shape(t), dim, dim)
         if m.shape != shape:
-            raise ModelError(f"H(t) has shape {m.shape}, expected {shape}")
+            raise ModelError(
+                f"H(t) has shape {m.shape}, expected {shape} for a psi0 of {dim} entries"
+            )
         # negated <= so that a NaN defect (inf - inf in an overflowed H) fails
         defect = np.abs(m - np.swapaxes(m, -1, -2).conj())
         if not defect.max() <= _HERMITIAN_TOL:
@@ -267,7 +271,8 @@ def _magnus(h, nodes, rel_tol):
     Each node interval is split into equal steps no longer than
     rel_tol**0.25 / max ||H||, the largest spectral norm of H on the nodes,
     so the step count is known before any step is taken; a count beyond
-    MAX_STATE_ENTRIES / dim**2 is a StiffnessError. A step of length s with
+    MAX_STATE_ENTRIES / dim**2 is a StiffnessError, which blames the node
+    intervals when they alone pass it and ||H|| else. A step of length s with
     H1, H2 at its Gauss points has the Magnus exponent -i X with
     X = s/2 (H1 + H2) + i (sqrt(3)/12) s**2 [H1, H2], which is Hermitian.
     The steps are taken _CHUNK_STEPS at a time.
@@ -278,14 +283,20 @@ def _magnus(h, nodes, rel_tol):
     u[0] = np.eye(dim)
     if nodes.size == 1:
         return u
-    widths = np.diff(nodes)
+    widths, cap = np.diff(nodes), MAX_STATE_ENTRIES // dim**2
+    if widths.size > cap:  # one step or more per interval, whatever rel_tol
+        raise StiffnessError(
+            f"the sample phases split one period into {widths.size} intervals, one Magnus "
+            f"step or more each, over the {cap} allowed for a {dim}x{dim} H; "
+            "raise the sample spacing"
+        )
     longest = rel_tol**0.25 / np.abs(np.linalg.eigvalsh(h_nodes)).max()
     counts = np.maximum(np.ceil(widths / longest), 1.0)
     # negated <= so that an overflowing count (an infinite norm) fails
-    if not counts.sum() <= MAX_STATE_ENTRIES // dim**2:
+    if not counts.sum() <= cap:
         raise StiffnessError(
             f"one period takes {counts.sum():.3g} Magnus steps, over the "
-            f"{MAX_STATE_ENTRIES // dim**2} allowed for a {dim}x{dim} H; raise rel_tol"
+            f"{cap} allowed for a {dim}x{dim} H; raise rel_tol"
         )
     counts = counts.astype(int)
     ends = np.cumsum(counts)
@@ -344,6 +355,8 @@ def _matmul(a, b):
 
 def _initial_state(psi0):
     psi = np.asarray(psi0, dtype=complex).copy()
+    if psi.ndim != 1:
+        raise ValueError(f"initial state must have shape (N,), got {psi.shape}")
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-8:  # negated, so that NaN fails
         raise ValueError("initial state must be normalized")
     return psi

@@ -8,7 +8,9 @@ Three solution routes are provided: the full time-dependent Hamiltonian (for
 numerical integration), closed-form rotating-wave propagators, and a
 disentangling ansatz psi(t) = e^{-iF sigma_+} e^{-iG tau_3} e^{-iH sigma_-}
 psi(0) whose F obeys a Riccati equation and captures the dynamics beyond the
-rotating-wave approximation. The trajectory routes take their sample times.
+rotating-wave approximation: riccati_rhs is its one right-hand side, which
+solve_beyond_rwa integrates up to the pole of F. The trajectory routes take
+their sample times.
 """
 
 import cmath
@@ -24,7 +26,6 @@ from .linalg import RESONANCE_TOL
 
 __all__ = [
     "DriveParams",
-    "DisentangleState",
     "hamiltonian_full",
     "hamiltonian_rwa",
     "to_rotating_frame",
@@ -197,31 +198,12 @@ def propagate_rwa_exact(p, psi0, times):
     return TimeSeries(times, from_rotating_frame(rot, times, p))
 
 
-@dataclass(frozen=True)
-class DisentangleState:
-    """The complex functions (F, G, H) of the disentangling ansatz; all three
-    vanish at t = 0."""
-
-    f: complex
-    g_fun: complex
-    h: complex
-
-
 POLE_GUARD_F = 1e8
 
 
-def _riccati_field(t, f, g_fun, p):
-    d = 2.0 * p.g * math.cos(_drive_phase(t, p))
-    return d * (1.0 + f * f) + 1j * p.delta * f, -p.delta + 2j * d * f, d * cmath.exp(-1j * g_fun)
-
-
-def _check_f_max(f_max):
-    if not 0 < f_max < math.inf:
-        raise ValueError(f"f_max must be positive and finite, got {f_max}")
-
-
-def riccati_rhs(s, t, p, f_max=POLE_GUARD_F):
-    """Time derivative of the disentangling functions.
+def riccati_rhs(t, f, g_fun, p):
+    """Time derivatives (dF/dt, dG/dt, dH/dt) of the disentangling functions
+    at time t, given F and G:
 
         dF/dt = 2 g cos(omega t + phi) (1 + F^2) + i delta F      (Riccati)
         dG/dt = -delta + 4 i g cos(omega t + phi) F
@@ -229,30 +211,26 @@ def riccati_rhs(s, t, p, f_max=POLE_GUARD_F):
 
     The H quadrature carries the full exponential of G:
     e^{-iG tau_3} sigma_- e^{iG tau_3} = e^{iG} sigma_- exactly, sigma_- being
-    an eigenvector of the adjoint action of tau_3.
-
-    Raises RiccatiPoleError when |F| > f_max, and ValueError unless f_max is
-    positive and finite.
+    an eigenvector of the adjoint action of tau_3. This is the one field the
+    solve integrates; it has no guard of its own, the solve stopping where
+    |F| reaches f_max.
     """
-    _check_f_max(f_max)
-    if abs(s.f) > f_max:
-        raise RiccatiPoleError(t)
-    df, dg, dh = _riccati_field(t, s.f, s.g_fun, p)
-    return DisentangleState(f=df, g_fun=dg, h=dh)
+    d = 2.0 * p.g * math.cos(_drive_phase(t, p))
+    return d * (1.0 + f * f) + 1j * p.delta * f, -p.delta + 2j * d * f, d * cmath.exp(-1j * g_fun)
 
 
-def reconstruct_disentangled(s):
+def reconstruct_disentangled(f, g_fun, h):
     """Product e^{-iF sigma_+} e^{-iG tau_3} e^{-iH sigma_-} as a 2x2 matrix.
 
     The outer factors are nilpotent exponentials (exact at first order),
     the middle one is diag(e^{-iG/2}, e^{iG/2}). F, G and H may be arrays;
     the matrices then have shape (..., 2, 2).
     """
-    b = np.exp(0.5j * s.g_fun)
-    u = np.empty((*np.broadcast(s.f, s.g_fun, s.h).shape, 2, 2), dtype=complex)
-    u[..., 0, 0] = np.exp(-0.5j * s.g_fun) - s.f * s.h * b
-    u[..., 0, 1] = -1j * s.f * b
-    u[..., 1, 0] = -1j * s.h * b
+    b = np.exp(0.5j * g_fun)
+    u = np.empty((*np.broadcast(f, g_fun, h).shape, 2, 2), dtype=complex)
+    u[..., 0, 0] = np.exp(-0.5j * g_fun) - f * h * b
+    u[..., 0, 1] = -1j * f * b
+    u[..., 1, 0] = -1j * h * b
     u[..., 1, 1] = b
     return u
 
@@ -298,7 +276,7 @@ def _initial_step(p, f, t_bound, atol):
     # Hairer, Norsett & Wanner, Solving ODEs I, II.4, as scipy computes it at y = 0
     scale = [atol] * 3
     d1, h0 = _rms(f, scale), min(1e-6, t_bound)
-    f1 = _riccati_field(h0, h0 * f[0], h0 * f[1], p)
+    f1 = riccati_rhs(h0, h0 * f[0], h0 * f[1], p)
     d2 = _rms([a - b for a, b in zip(f1, f)], scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         return min(100 * h0, max(1e-6, h0 * 1e-3), t_bound)
@@ -369,7 +347,7 @@ def _evaluation_floor(p, t_final, rtol, atol):
     intervals of strong drive sit around the peaks omega t + phi = k pi;
     crossings are counted inside each, clipped to [0, t_final].
     """
-    delta, g, omega, phi = p.delta, p.g, p.omega, math.fmod(p.phi, math.tau)
+    delta, g, omega, phi = p.delta, p.g, p.omega, _drive_phase(0.0, p)
     bounds, fastest = [(0.0, "")], max(delta, omega)
     if delta != omega and (m := 4 * g * fastest / abs(delta - omega) / (delta + omega)) <= 0.1:
         tol = math.sqrt(3) * (atol + rtol * m)
@@ -378,7 +356,7 @@ def _evaluation_floor(p, t_final, rtol, atol):
         if (per_radian := (g / omega * _DP_FORCED_ERROR / tol) ** 0.2) >= 1:
             bounds.append((6 * t_final * omega * per_radian, "omega"))
     c = _SHARP_DRIVE * fastest / (2 * g) if g > 0 else math.inf
-    span, th0, th1 = 2 * g / omega, phi, omega * t_final + phi
+    span, th0, th1 = 2 * g / omega, phi, _drive_phase(t_final, p)
     if c < 1 and math.isfinite(span * th1):  # an overflow leaves it to the running count
         half = math.acos(c)
         lo, hi = -((half - th0) // math.pi), (th1 + half) // math.pi
@@ -398,14 +376,14 @@ def _over_budget(why=""):
 
 
 def _rk45(p, grid, rtol, atol, f_max):
-    """Integrate the disentangling system of p from F = G = H = 0 at t = 0 to
-    grid[-1] with the steps of scipy's RK45 at these tolerances, on lists
-    [F, G, H] of complex numbers.
+    """Integrate riccati_rhs for p from F = G = H = 0 at t = 0 to grid[-1]
+    with the steps of scipy's RK45 at these tolerances, on lists [F, G, H]
+    of complex numbers.
 
     Returns the states at the grid times, from the dense output, and the
     time at which |F| reached f_max (then only the grid times up to it are
     sampled), else None. A step attempt whose arithmetic overflows counts as
-    a rejected step. It counts the evaluations of the field, 2 before the
+    a rejected step. It counts the evaluations of riccati_rhs, 2 before the
     first step and 6 per attempt, and raises StiffnessError before an
     attempt would pass MAX_STATE_ENTRIES, or before the first step if
     _evaluation_floor already does.
@@ -416,7 +394,7 @@ def _rk45(p, grid, rtol, atol, f_max):
     floor, name = _evaluation_floor(p, t_bound, rtol, atol)
     if floor > MAX_STATE_ENTRIES:
         raise _over_budget(f" (at least {floor:.3g} at this {name})")
-    t, f, out, evals = 0.0, _riccati_field(0.0, 0j, 0j, p), [], 2
+    t, f, out, evals = 0.0, riccati_rhs(0.0, 0j, 0j, p), [], 2
     try:
         h_abs = _initial_step(p, f, t_bound, atol)
     except (OverflowError, ValueError):
@@ -441,10 +419,10 @@ def _rk45(p, grid, rtol, atol, f_max):
                 ks = [[d] for d in f]
                 for c, a in zip(_DP_C, _DP_A):
                     fg = [v + _dot(a, k) * h for v, k in zip(y[:2], ks)]
-                    for k, d in zip(ks, _riccati_field(t + c * h, fg[0], fg[1], p)):
+                    for k, d in zip(ks, riccati_rhs(t + c * h, fg[0], fg[1], p)):
                         k.append(d)
                 y_new = [v + h * _dot(_DP_B, k) for v, k in zip(y, ks)]
-                for k, d in zip(ks, _riccati_field(t + h, y_new[0], y_new[1], p)):
+                for k, d in zip(ks, riccati_rhs(t + h, y_new[0], y_new[1], p)):
                     k.append(d)
                 scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
                 error = _rms([_dot(_DP_E, k) * h for k in ks], scale)
@@ -491,12 +469,13 @@ def solve_beyond_rwa(
     (_evaluation_floor), else when its running count reaches the cap.
     """
     IntegratorConfig(rel_tol=rel_tol, abs_tol=abs_tol)  # checks the tolerances
-    _check_f_max(f_max)
+    if not 0 < f_max < math.inf:
+        raise ValueError(f"f_max must be positive and finite, got {f_max}")
     psi0, times = checked_start(p, psi0, times)
 
     # scipy lifts a rel_tol below 100 machine epsilons to that floor
     out, t_pole = _rk45(p, times.tolist(), max(rel_tol, 100 * math.ulp(1.0)), abs_tol, f_max)
-    states = reconstruct_disentangled(DisentangleState(*np.reshape(out, (-1, 3)).T)) @ psi0
+    states = reconstruct_disentangled(*np.reshape(out, (-1, 3)).T) @ psi0
     series = TimeSeries(times[: len(out)], states)
     if t_pole is None:
         return series

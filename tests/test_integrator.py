@@ -344,6 +344,22 @@ class TestValidation:
         with pytest.raises(ModelError):
             integrate(lambda t: np.eye(3, dtype=complex), KET0, 0.0, 1.0, cfg)
 
+    def test_a_psi0_of_the_wrong_length_is_named(self):
+        # the mismatch is psi0's as much as H's: the message names both
+        p = DriveParams(delta=1.0, g=0.1, omega=1.0)
+        psi0 = np.array([1.0, 0.0, 0.0])
+        match = r"H\(t\) has shape \(2, 2\), expected \(3, 3\) for a psi0 of 3 entries"
+        with pytest.raises(ModelError, match=match):
+            integrate(lambda t: hamiltonian_full(t, p), psi0, 0.0, 1.0, IntegratorConfig())
+        with pytest.raises(ModelError, match=r"expected \(11, 3, 3\) for a psi0 of 3 entries"):
+            propagate_periodic(
+                lambda t: hamiltonian_full(t, p),
+                2 * np.pi,
+                psi0,
+                sample_grid(0.0, 1.0, 0.1),
+                IntegratorConfig(),
+            )
+
     def test_rejects_unnormalized_initial_state(self):
         cfg = IntegratorConfig(dt=0.1)
         with pytest.raises(ValueError):

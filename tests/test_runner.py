@@ -793,6 +793,21 @@ class TestCli:
         assert "solver error: one period takes" in proc.stderr
         assert not (tmp_path / "scenario.csv").exists()
 
+    @pytest.mark.parametrize("rel_tol", [1.0e-12, 1.0e-2])
+    def test_too_many_sample_phases_name_the_sample_spacing(self, tmp_path, rel_tol):
+        # 1.26e6 distinct sample phases in the one period this run spans take
+        # a Magnus step each, over the cap whatever rel_tol: the message says
+        # so instead of advising a larger rel_tol
+        spec = yaml.safe_load((SCENARIOS / "rabi_full.yaml").read_text())
+        spec["params"]["g"], spec["dt"], spec["integrator"] = 1.0e-4, 0.05, {"rel_tol": rel_tol}
+        path = self.write_scenario(tmp_path, spec)
+        proc = _run_cli_in_subprocess(["run", str(path), "--out", str(tmp_path)], timeout=20)
+        assert proc.returncode == cli.EXIT_SOLVER
+        assert "solver error: the sample phases split one period into 1256639" in proc.stderr
+        assert "raise the sample spacing" in proc.stderr
+        assert "rel_tol" not in proc.stderr
+        assert not (tmp_path / "scenario.csv").exists()
+
     def test_ten_billion_drive_periods_run_promptly(self, tmp_path):
         # the Floquet powers are taken by squaring, not one period at a time
         spec = base_semiclassical(

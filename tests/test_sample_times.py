@@ -1,14 +1,15 @@
 """Every trajectory route takes psi0, the state at t = 0, and the sample times
 from its caller: the rows at a time do not depend on which other times the
 grid holds, also when it does not hold 0, a grid a solve cannot sample or a
-psi0 of the wrong size is a ValueError, and a grid of t = 0 alone gives psi0."""
+psi0 of the wrong size or shape is a ValueError, and a grid of t = 0 alone
+gives psi0."""
 
 import time
 
 import numpy as np
 import pytest
 
-from rwasim.integrator import IntegratorConfig, propagate_periodic, sample_grid
+from rwasim.integrator import IntegratorConfig, integrate, propagate_periodic, sample_grid
 from rwasim.quantum import (
     JCParams,
     simulate_jaynes_cummings,
@@ -103,6 +104,40 @@ def test_rejects_a_wrong_size_state_before_solving(route, shape, monkeypatch):
     monkeypatch.setattr(kernel, _unreachable)
     with pytest.raises(ValueError, match=rf"initial state must have shape \({2 * p.dim},\)"):
         solve(p, np.ones(shape(p.dim)), sample_grid(0.0, 1.0, 0.1))
+
+
+def _h(t):
+    return hamiltonian_full(t, DP)
+
+
+# the routes on an H(t) callback, each with the kernel it reaches only after
+# its entry check
+H_OF_T_ROUTES = {
+    "periodic": (
+        lambda psi: propagate_periodic(
+            _h, 2 * np.pi, psi, sample_grid(0.0, 1.0, 0.1), IntegratorConfig()
+        ),
+        "rwasim.integrator._magnus",
+    ),
+    "integrate-rk45": (
+        lambda psi: integrate(_h, psi, 0.0, 1.0, IntegratorConfig()),
+        "scipy.integrate.solve_ivp",
+    ),
+    "integrate-rk4": (
+        lambda psi: integrate(_h, psi, 0.0, 1.0, IntegratorConfig(method="rk4-fixed")),
+        "rwasim.integrator._rk4_step",
+    ),
+}
+
+
+@pytest.mark.parametrize("route", H_OF_T_ROUTES)
+def test_h_of_t_route_rejects_a_row_state_before_solving(route, monkeypatch):
+    # a (1, 2) psi0 failed in numpy's matmul after the whole Magnus solve,
+    # in scipy, or was flattened by the RK4 steps
+    solve, kernel = H_OF_T_ROUTES[route]
+    monkeypatch.setattr(kernel, _unreachable)
+    with pytest.raises(ValueError, match=r"initial state must have shape \(N,\), got \(1, 2\)"):
+        solve(DRIVE_STATE[None])
 
 
 def _swapped_grid():

@@ -1,3 +1,4 @@
+import cmath
 import inspect
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from rwasim.integrator import (
 )
 from rwasim.linalg import expm_series, is_hermitian, is_unitary, pauli
 from rwasim.semiclassical import (
-    DisentangleState,
     DriveParams,
     from_rotating_frame,
     generalized_rabi_frequency,
@@ -280,33 +280,36 @@ class TestExactRwaTrajectory:
 class TestRiccati:
     def test_initial_slope(self):
         p = DriveParams(delta=1.7, g=0.25, omega=1.0, phi=0.0)
-        d = riccati_rhs(DisentangleState(0.0, 0.0, 0.0), 0.0, p)
-        assert d.f == pytest.approx(2 * p.g)
-        assert d.g_fun == pytest.approx(-p.delta)
-        assert d.h == pytest.approx(2 * p.g)
+        df, dg, dh = riccati_rhs(0.0, 0.0, 0.0, p)
+        assert df == pytest.approx(2 * p.g)
+        assert dg == pytest.approx(-p.delta)
+        assert dh == pytest.approx(2 * p.g)
 
     def test_drive_off_decouples(self):
         p = DriveParams(delta=1.7, g=0.0, omega=1.0)
-        d = riccati_rhs(DisentangleState(0.0, 0.0, 0.0), 2.0, p)
-        assert d.f == 0 and d.h == 0
-        assert d.g_fun == pytest.approx(-p.delta)
+        df, dg, dh = riccati_rhs(2.0, 0.0, 0.0, p)
+        assert df == 0 and dh == 0
+        assert dg == pytest.approx(-p.delta)
         # away from the origin the F equation is linear, so F(0) = 0 pins F = 0
-        d = riccati_rhs(DisentangleState(0.3 - 0.1j, -2.0, 0.0), 2.0, p)
-        assert d.f == pytest.approx(1j * p.delta * (0.3 - 0.1j))
-        assert d.h == 0
+        df, _, dh = riccati_rhs(2.0, 0.3 - 0.1j, -2.0, p)
+        assert df == pytest.approx(1j * p.delta * (0.3 - 0.1j))
+        assert dh == 0
 
-    def test_pole_guards(self):
+    def test_finite_beyond_the_solve_pole_guard(self):
+        # the field has no guard of its own: the solve stops where |F|
+        # reaches f_max, and the field is finite beyond the default 1e8
         p = DriveParams(delta=1.0, g=0.1, omega=1.0)
-        with pytest.raises(RiccatiPoleError, match=r"\|F\| beyond blow-up guard"):
-            riccati_rhs(DisentangleState(1e9, 0.0, 0.0), 0.0, p)
+        derivatives = riccati_rhs(0.0, 1e9, 0.0, p)
+        assert all(cmath.isfinite(d) for d in derivatives)
+        assert derivatives[0] == pytest.approx(2 * p.g * (1 + 1e18) + 1j * p.delta * 1e9)
 
     def test_finite_where_iG_is_minus_one(self):
         # G enters only through e^{-iG}, so the field is regular at G = i
         p = DriveParams(delta=1.0, g=0.1, omega=1.0)
-        d = riccati_rhs(DisentangleState(0.0, 1j, 0.0), 0.0, p)
-        assert d.f == pytest.approx(2 * p.g)
-        assert d.g_fun == pytest.approx(-p.delta)
-        assert d.h == pytest.approx(2 * p.g * np.e)
+        df, dg, dh = riccati_rhs(0.0, 0.0, 1j, p)
+        assert df == pytest.approx(2 * p.g)
+        assert dg == pytest.approx(-p.delta)
+        assert dh == pytest.approx(2 * p.g * np.e)
 
     def test_finite_on_smooth_trajectory(self):
         p = DriveParams(delta=1.0, g=0.05, omega=1.0)
@@ -317,34 +320,33 @@ class TestRiccati:
 
 class TestReconstruction:
     def test_identity_at_origin(self):
-        assert np.allclose(reconstruct_disentangled(DisentangleState(0.0, 0.0, 0.0)), np.eye(2))
+        assert np.allclose(reconstruct_disentangled(0.0, 0.0, 0.0), np.eye(2))
 
     def test_free_evolution_factor(self):
         # with the drive off, G = -delta*t and F = H = 0: the product is the
         # free propagator diag(e^{i delta t/2}, e^{-i delta t/2})
         delta, t = 1.3, 2.7
-        u = reconstruct_disentangled(DisentangleState(0.0, -delta * t, 0.0))
+        u = reconstruct_disentangled(0.0, -delta * t, 0.0)
         assert np.allclose(u, np.diag([np.exp(0.5j * delta * t), np.exp(-0.5j * delta * t)]))
 
     def test_matches_exponential_factors(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             f, g_fun, h = (rng.normal() + 1j * rng.normal() for _ in range(3))
-            s = DisentangleState(f, g_fun, h)
             product = (
                 expm_series(pauli("+"), -1j * f)
                 @ expm_series(0.5 * pauli(3), -1j * g_fun)
                 @ expm_series(pauli("-"), -1j * h)
             )
-            assert np.abs(reconstruct_disentangled(s) - product).max() < 1e-12
+            assert np.abs(reconstruct_disentangled(f, g_fun, h) - product).max() < 1e-12
 
     def test_arrays_give_one_matrix_per_entry(self):
         rng = np.random.default_rng(7)
         f, g_fun, h = (rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)) for _ in range(3))
-        u = reconstruct_disentangled(DisentangleState(f, g_fun, h))
+        u = reconstruct_disentangled(f, g_fun, h)
         assert u.shape == (4, 3, 2, 2)
         for idx in np.ndindex(4, 3):
-            scalar = reconstruct_disentangled(DisentangleState(f[idx], g_fun[idx], h[idx]))
+            scalar = reconstruct_disentangled(f[idx], g_fun[idx], h[idx])
             # numpy's array loops may round the products differently
             np.testing.assert_allclose(u[idx], scalar, rtol=0, atol=1e-15)
 
@@ -412,9 +414,9 @@ class TestBeyondRwa:
         # count the evaluations of one solve, then allow exactly that many and
         # one fewer
         calls = []
-        field = semiclassical._riccati_field
+        field = semiclassical.riccati_rhs
         monkeypatch.setattr(
-            semiclassical, "_riccati_field", lambda *args: calls.append(1) or field(*args)
+            semiclassical, "riccati_rhs", lambda *args: calls.append(1) or field(*args)
         )
         p = DriveParams(delta=1.0, g=0.05, omega=1.0)
         expected = solve_beyond_rwa(p, KET0, sample_grid(0.0, 10.0, 0.25))
@@ -453,14 +455,8 @@ class TestPoleGuardCheck:
     BAD = [-1.0, 0.0, np.nan, np.inf]
 
     @pytest.mark.parametrize("f_max", BAD)
-    def test_riccati_rhs_rejects(self, f_max):
-        p = DriveParams(delta=1.0, g=0.05, omega=1.0)
-        with pytest.raises(ValueError, match="f_max must be positive and finite"):
-            riccati_rhs(DisentangleState(0.0, 0.0, 0.0), 0.0, p, f_max=f_max)
-
-    @pytest.mark.parametrize("f_max", BAD)
     def test_solve_rejects_before_the_first_step(self, f_max, monkeypatch):
-        monkeypatch.setattr(semiclassical, "_riccati_field", _unreachable)
+        monkeypatch.setattr(semiclassical, "riccati_rhs", _unreachable)
         p = DriveParams(delta=1.0, g=0.05, omega=1.0)
         with pytest.raises(ValueError, match="f_max must be positive and finite"):
             solve_beyond_rwa(p, KET0, sample_grid(0.0, 50.0, 0.1), f_max=f_max)
@@ -468,9 +464,9 @@ class TestPoleGuardCheck:
 
 def _count_evaluations(monkeypatch, p, t_final, rel_tol=1e-12, abs_tol=1e-14):
     calls = []
-    field = semiclassical._riccati_field
+    field = semiclassical.riccati_rhs
     monkeypatch.setattr(
-        semiclassical, "_riccati_field", lambda *args: calls.append(1) or field(*args)
+        semiclassical, "riccati_rhs", lambda *args: calls.append(1) or field(*args)
     )
     solve_beyond_rwa(
         p, KET0, sample_grid(0.0, t_final, t_final / 10), rel_tol=rel_tol, abs_tol=abs_tol
@@ -540,7 +536,7 @@ class TestEvaluationFloor:
         ],
     )
     def test_refuses_a_hopeless_solve_at_once(self, params, t_final, name, monkeypatch):
-        monkeypatch.setattr(semiclassical, "_riccati_field", _unreachable)
+        monkeypatch.setattr(semiclassical, "riccati_rhs", _unreachable)
         p = DriveParams(*params)
         assert semiclassical._evaluation_floor(p, t_final, 1e-12, 1e-14)[1] == name
         with pytest.raises(StiffnessError, match=rf"at least .* at this {name}\)"):
@@ -627,7 +623,7 @@ class TestStepperAgainstScipy:
 
         event.terminal = True
         sol = solve_ivp(
-            lambda t, y: np.array(semiclassical._riccati_field(t, y[0], y[1], p)),
+            lambda t, y: np.array(semiclassical.riccati_rhs(t, y[0], y[1], p)),
             (0.0, scenario.t_final),
             np.zeros(3, dtype=complex),
             method="RK45",
@@ -636,7 +632,7 @@ class TestStepperAgainstScipy:
             t_eval=sample_grid(0.0, scenario.t_final, scenario.dt),
             events=event,
         )
-        states = reconstruct_disentangled(DisentangleState(*sol.y)) @ KET0
+        states = reconstruct_disentangled(*sol.y) @ KET0
         t_events = [te[0] for te in sol.t_events if te.size]
         return sol, states, t_events
 
@@ -662,9 +658,9 @@ class TestStepperAgainstScipy:
 
     def test_same_steps_and_states(self, scenario, monkeypatch):
         calls = []
-        field = semiclassical._riccati_field
+        field = semiclassical.riccati_rhs
         monkeypatch.setattr(
-            semiclassical, "_riccati_field", lambda *args: calls.append(1) or field(*args)
+            semiclassical, "riccati_rhs", lambda *args: calls.append(1) or field(*args)
         )
         series = self.solve(scenario)
         monkeypatch.undo()
