@@ -52,9 +52,11 @@ def ladder_ops(dim, phase=0.0):
     `phase` applies the gauge freedom b = e^{i phase} a; the number operator
     is unchanged by it. The annihilator carries sqrt(1)..sqrt(dim-1) on the
     superdiagonal, the creator is its conjugate transpose, and n_op equals
-    a_dag @ a = diag(0, 1, ..., dim-1).
+    a_dag @ a = diag(0, 1, ..., dim-1). A NaN or infinite phase is a ValueError.
     """
     dim = _check_dim(dim)
+    if not np.isfinite(phase):
+        raise ValueError("phase must be finite")
     a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
     if phase:
         a = np.exp(1j * phase) * a

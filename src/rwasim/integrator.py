@@ -33,9 +33,9 @@ _HERMITIAN_TOL = 1e-10
 # The complex entries of the largest trajectory one run may allocate
 # (samples times state dimension, checked when a scenario is parsed); 2**22
 # entries are 64 MiB. It also caps the Magnus steps of one period at
-# MAX_STATE_ENTRIES / dim**2 (2**20 for a 2x2 H), a cap on work rather than
-# memory, since _magnus holds _CHUNK_STEPS of them at a time: a large ||H||
-# reaches it, and so do more distinct sample phases than that.
+# MAX_STATE_ENTRIES / dim**2 (2**20 for a 2x2 H), a cap on work, not memory,
+# as _magnus holds _CHUNK_STEPS of them at a time: a large ||H|| reaches it,
+# and more distinct sample phases than that are refused before any H is built.
 MAX_STATE_ENTRIES = 2**22
 
 # The two Gauss-Legendre nodes of a unit step, and the weight of the
@@ -250,7 +250,7 @@ def propagate_periodic(h_of_t, period, psi0, times, cfg):
     index = index[1:]
     if n.max() > 0:
         phases = np.append(phases, period)
-    fundamental = _magnus(_checked_h(h_of_t, psi.size), phases, cfg.rel_tol)
+    fundamental = _magnus(_checked_h(h_of_t, psi.size), psi.size, phases, cfg.rel_tol)
 
     # M^n psi0 for each distinct n, each from the one before by the power of
     # M over the gap, so the work grows with the samples and log n only
@@ -264,25 +264,19 @@ def propagate_periodic(h_of_t, period, psi0, times, cfg):
     return TimeSeries(times.copy(), states)
 
 
-def _magnus(h, nodes, rel_tol):
+def _magnus(h, dim, nodes, rel_tol):
     """The propagator from nodes[0] to every node, by two-point Gauss
-    fourth-order Magnus steps.
+    fourth-order Magnus steps, for an h whose every H is dim x dim.
 
     Each node interval is split into equal steps no longer than
     rel_tol**0.25 / max ||H||, the largest spectral norm of H on the nodes,
     so the step count is known before any step is taken; a count beyond
-    MAX_STATE_ENTRIES / dim**2 is a StiffnessError, which blames the node
-    intervals when they alone pass it and ||H|| else. A step of length s with
-    H1, H2 at its Gauss points has the Magnus exponent -i X with
-    X = s/2 (H1 + H2) + i (sqrt(3)/12) s**2 [H1, H2], which is Hermitian.
-    The steps are taken _CHUNK_STEPS at a time.
+    MAX_STATE_ENTRIES / dim**2 is a StiffnessError. Node intervals that
+    alone pass it are refused before any H is evaluated; else ||H|| is
+    blamed. A step of length s with H1, H2 at its Gauss points has the
+    Magnus exponent -i X with X = s/2 (H1 + H2) + i (sqrt(3)/12) s**2
+    [H1, H2], which is Hermitian. The steps are taken _CHUNK_STEPS at a time.
     """
-    h_nodes = h(nodes)
-    dim = h_nodes.shape[-1]
-    u = np.empty(h_nodes.shape, dtype=complex)
-    u[0] = np.eye(dim)
-    if nodes.size == 1:
-        return u
     widths, cap = np.diff(nodes), MAX_STATE_ENTRIES // dim**2
     if widths.size > cap:  # one step or more per interval, whatever rel_tol
         raise StiffnessError(
@@ -290,7 +284,7 @@ def _magnus(h, nodes, rel_tol):
             f"step or more each, over the {cap} allowed for a {dim}x{dim} H; "
             "raise the sample spacing"
         )
-    longest = rel_tol**0.25 / np.abs(np.linalg.eigvalsh(h_nodes)).max()
+    longest = rel_tol**0.25 / np.abs(np.linalg.eigvalsh(h(nodes))).max()
     counts = np.maximum(np.ceil(widths / longest), 1.0)
     # negated <= so that an overflowing count (an infinite norm) fails
     if not counts.sum() <= cap:
@@ -302,11 +296,12 @@ def _magnus(h, nodes, rel_tol):
     ends = np.cumsum(counts)
     step = np.repeat(widths / counts, counts)
     # the k-th step of an interval starts k steps past its node
-    within = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
+    within = np.arange(counts.sum()) - np.repeat(ends - counts, counts)
     start = np.repeat(nodes[:-1], counts) + step * within
 
-    carry = u[0]
-    for lo in range(0, ends[-1], _CHUNK_STEPS):
+    u = np.empty((nodes.size, dim, dim), dtype=complex)
+    u[0] = carry = np.eye(dim)
+    for lo in range(0, counts.sum(), _CHUNK_STEPS):
         s = step[lo : lo + _CHUNK_STEPS, None, None]
         gauss = start[lo : lo + _CHUNK_STEPS, None] + s[:, 0] * _GAUSS_NODES
         h1, h2 = np.moveaxis(h(gauss.ravel()).reshape(-1, 2, dim, dim), 1, 0)
@@ -365,8 +360,8 @@ def _initial_state(psi0):
 def observable_series(ts, obs):
     """Expectation <psi(t)| obs |psi(t)> per sample, as real numbers.
 
-    `obs` must be Hermitian; the imaginary residue of each expectation is
-    checked below 1e-10 and then discarded.
+    `obs` must be Hermitian, and each expectation finite with an imaginary
+    residue below 1e-10, which is then discarded.
     """
     obs = np.asarray(obs, dtype=complex)
     if not np.abs(obs - obs.conj().T).max() <= _HERMITIAN_TOL:
@@ -374,6 +369,10 @@ def observable_series(ts, obs):
     if obs.shape[0] != ts.states.shape[1]:
         raise ValueError("observable dimension does not match states")
     values = np.einsum("ti,ij,tj->t", ts.states.conj(), obs, ts.states)
+    finite = np.isfinite(values)
+    if not finite.all():
+        t_bad = float(ts.times[np.argmin(finite)])
+        raise ValueError(f"expectation values are not finite from t = {t_bad!r} on")
     if np.abs(values.imag).max() > 1e-10:
         raise ValueError("expectation values have non-negligible imaginary part")
     return values.real.copy()
@@ -386,6 +385,6 @@ def fidelity(a, b):
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     for name, v in (("a", a), ("b", b)):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-6:
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-6:  # negated, so that NaN fails
             raise ValueError(f"state {name} is not normalized")
     return float(min(abs(np.vdot(a, b)) ** 2, 1.0))

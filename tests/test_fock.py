@@ -47,6 +47,11 @@ class TestLadderOps:
         # the algebra is unchanged by the phase
         assert np.abs(commutator(rot.a, rot.a_dag) - commutator(plain.a, plain.a_dag)).max() < 1e-14
 
+    @pytest.mark.parametrize("phase", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_phase(self, phase):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            ladder_ops(5, phase=phase)
+
     def test_rejects_small_dim(self):
         with pytest.raises(ValueError):
             ladder_ops(1)

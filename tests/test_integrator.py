@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rwasim import integrator
-from rwasim.errors import ModelError
+from rwasim.errors import ModelError, StiffnessError
 from rwasim.integrator import (
     IntegratorConfig,
     TimeSeries,
@@ -84,6 +84,19 @@ class TestObservableSeries:
         with pytest.raises(ValueError):
             observable_series(ts, pauli("+"))
 
+    def test_non_finite_values_name_their_time_apart_from_a_residue(self):
+        ts = TimeSeries(
+            times=np.array([0.0, 0.5, 1.0]),
+            states=np.array([[1, 0], [np.nan, 0], [1, 0]], dtype=complex),
+        )
+        with pytest.raises(ValueError, match=r"not finite from t = 0\.5 on"):
+            observable_series(ts, pauli(3))
+        # Hermitian within the 1e-10 tolerance, but a state of norm 1e3
+        # makes its imaginary residue 4e-5
+        ts = TimeSeries(times=np.array([0.0]), states=np.array([[1e3, 0]], dtype=complex))
+        with pytest.raises(ValueError, match="non-negligible imaginary part"):
+            observable_series(ts, np.diag([0.4e-10j, 0.0]))
+
 
 class TestFidelity:
     def test_self(self):
@@ -104,6 +117,10 @@ class TestFidelity:
     def test_requires_normalization(self):
         with pytest.raises(ValueError):
             fidelity(np.array([2.0, 0]), np.array([1.0, 0]))
+
+    def test_rejects_a_nan_state(self):
+        with pytest.raises(ValueError, match="state a is not normalized"):
+            fidelity(np.array([np.nan, 0]), np.array([1.0, 0]))
 
 
 class TestRk4Fixed:
@@ -269,6 +286,18 @@ class TestPropagatePeriodic:
         psi0 = _superposition(4)
         ts = propagate_periodic(self.h(self.P), 2 * np.pi, psi0, np.array([0.0]), self.TIGHT)
         np.testing.assert_array_equal(ts.states, [psi0])
+
+    def test_too_many_sample_phases_are_refused_before_any_h(self, monkeypatch):
+        # a 2x2 H may take 128 // 4 = 32 steps a period; 40 distinct phases
+        # split it into 39 intervals of a step or more, so no H is needed
+        monkeypatch.setattr(integrator, "MAX_STATE_ENTRIES", 128)
+
+        def h(t):
+            pytest.fail("H was evaluated for a run its sample phases refuse")
+
+        times = np.linspace(0.0, 0.9, 40)
+        with pytest.raises(StiffnessError, match="39 intervals.*raise the sample spacing"):
+            propagate_periodic(h, 1.0, KET0, times, self.TIGHT)
 
     def test_rejects_negative_times(self):
         with pytest.raises(ValueError):
