@@ -139,6 +139,13 @@ def checked_times(times):
     return times
 
 
+def check_one_time(t):
+    """ValueError naming the shape of `t` unless it is one number, as the
+    one-time propagators need."""
+    if np.ndim(t):
+        raise ValueError(f"t must be one time, got an array of shape {np.shape(t)}")
+
+
 def checked_start(p, psi0, times):
     """Normalized psi0 of shape (2 * p.dim,), the state at t = 0, and a float copy of
     `times` passing checked_times, or ValueError: every params route's first check."""
@@ -268,9 +275,9 @@ def _magnus(h, dim, nodes, rel_tol):
     """The propagator from nodes[0] to every node, by two-point Gauss
     fourth-order Magnus steps, for an h whose every H is dim x dim.
 
-    Each node interval is split into equal steps no longer than
-    rel_tol**0.25 / max ||H||, the largest spectral norm of H on the nodes,
-    so the step count is known before any step is taken; a count beyond
+    A node interval of width w takes max(ceil(w ||H|| / rel_tol**0.25), 1)
+    equal steps, ||H|| the largest spectral norm of H on the nodes, so the
+    count is known before any step is taken; a count beyond
     MAX_STATE_ENTRIES / dim**2 is a StiffnessError. Node intervals that
     alone pass it are refused before any H is evaluated; else ||H|| is
     blamed. A step of length s with H1, H2 at its Gauss points has the
@@ -284,8 +291,8 @@ def _magnus(h, dim, nodes, rel_tol):
             f"step or more each, over the {cap} allowed for a {dim}x{dim} H; "
             "raise the sample spacing"
         )
-    longest = rel_tol**0.25 / np.abs(np.linalg.eigvalsh(h(nodes))).max()
-    counts = np.maximum(np.ceil(widths / longest), 1.0)
+    norm = np.abs(np.linalg.eigvalsh(h(nodes))).max()
+    counts = np.maximum(np.ceil(widths * norm / rel_tol**0.25), 1.0)
     # negated <= so that an overflowing count (an infinite norm) fails
     if not counts.sum() <= cap:
         raise StiffnessError(

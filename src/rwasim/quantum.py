@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import LEAKAGE_THRESHOLD, _check_dim, ladder_ops, slots, top_level_population
-from .integrator import TimeSeries, checked_start
+from .integrator import TimeSeries, check_one_time, checked_start
 from .linalg import RESONANCE_TOL, pauli, tensor_product
 
 __all__ = [
@@ -211,6 +211,7 @@ def propagator_jc_detuned(t, p):
     delta^2/4 + g^2 a_dag a, so each block is a scalar function of a diagonal
     operator; sin(t sqrt(x))/sqrt(x) is continued by its limit t at x = 0.
     """
+    check_one_time(t)
     # row j of the kernel applied to the identity is the propagator's column j
     return _jc_rotating(t, p, np.eye(2 * p.dim)).T
 
@@ -229,7 +230,7 @@ def propagator_jc_resonance(t, p):
 def propagator_jc_lab(t, p):
     """Lab-frame Jaynes-Cummings propagator: undo the frame transform after
     the rotating-frame evolution, psi(t) = U(t)^{-1} e^{-itB} psi(0)."""
-    return _frame_diagonal(t, p).conj()[:, None] * propagator_jc_detuned(t, p)
+    return propagator_jc_detuned(t, p) * _frame_diagonal(t, p).conj()[:, None]
 
 
 def _monitored_series(ts, states, p):

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RiccatiPoleError, StiffnessError
-from .integrator import MAX_STATE_ENTRIES, IntegratorConfig, TimeSeries, checked_start, finite_rows
+from .integrator import (
+    MAX_STATE_ENTRIES,
+    IntegratorConfig,
+    TimeSeries,
+    check_one_time,
+    checked_start,
+    finite_rows,
+)
 from .linalg import RESONANCE_TOL
 
 __all__ = [
@@ -105,24 +112,22 @@ def _two_level(p, coupling):
     return h
 
 
-def _frame_phases(t, p):
-    half = 0.5 * _drive_phase(t, p)
-    return np.exp(-1j * half), np.exp(1j * half)
+def _rotate(psi, t, p, sign):
+    # psi times diag(e^{-i sign theta/2}, e^{i sign theta/2}) along its last
+    # axis, theta = omega t + phi: one state, or a (T, 2) stack with T times
+    half = 0.5 * sign * _drive_phase(t, p)
+    return np.asarray(psi, dtype=complex) * np.stack([np.exp(-1j * half), np.exp(1j * half)], -1)
 
 
 def to_rotating_frame(psi, t, p):
-    """Apply diag(e^{-i(omega t+phi)/2}, e^{+i(omega t+phi)/2}) to psi."""
-    lo, hi = _frame_phases(t, p)
-    psi = np.asarray(psi, dtype=complex)
-    return np.array([lo * psi[0], hi * psi[1]])
+    """Apply diag(e^{-i(omega t+phi)/2}, e^{+i(omega t+phi)/2}) to psi; a
+    (T, 2) stack of states with T times gives one transformed row each."""
+    return _rotate(psi, t, p, 1.0)
 
 
 def from_rotating_frame(phi_vec, t, p):
-    """Inverse of to_rotating_frame; a (T, 2) stack of states with T times
-    gives one transformed row each."""
-    lo, hi = _frame_phases(t, p)
-    phi_vec = np.asarray(phi_vec, dtype=complex)
-    return np.stack([hi * phi_vec[..., 0], lo * phi_vec[..., 1]], axis=-1)
+    """Inverse of to_rotating_frame, with the same stacking."""
+    return _rotate(phi_vec, t, p, -1.0)
 
 
 def rotating_frame_generator(p):
@@ -149,6 +154,7 @@ def _rwa_rotating(t, p, phi):
 def propagator_rwa_rotating(t, p):
     """exp(-i t M) for the constant rotating-frame generator M, in closed form
     cos(Or t) I - i sin(Or t)/Or M with Or the generalized Rabi frequency."""
+    check_one_time(t)
     # row j of the kernel applied to the identity is the propagator's column j
     return _rwa_rotating(t, p, np.eye(2)).T
 
@@ -164,6 +170,7 @@ def propagator_rwa_resonance(t, p):
     diag(1, e^{-i phi}) rather than the identity; comparisons against it
     should therefore be phase-insensitive (fidelity), not entrywise.
     """
+    check_one_time(t)
     if abs(p.detuning) > RESONANCE_TOL:
         raise ValueError(
             f"resonance propagator requires delta = omega (|detuning| <= {RESONANCE_TOL}); "
@@ -179,8 +186,7 @@ def propagator_rwa_detuned(t, p):
     phase convention as propagator_rwa_resonance (to which it reduces when
     delta = omega)."""
     # relative phase left after discarding the overall e^{i(omega t+phi)/2}
-    phase = np.array([[1.0], [np.exp(-1j * _drive_phase(t, p))]])
-    return phase * propagator_rwa_rotating(t, p)
+    return propagator_rwa_rotating(t, p) * np.array([[1.0], [np.exp(-1j * _drive_phase(t, p))]])
 
 
 def propagate_rwa_exact(p, psi0, times):
@@ -475,8 +481,10 @@ def solve_beyond_rwa(
 
     # scipy lifts a rel_tol below 100 machine epsilons to that floor
     out, t_pole = _rk45(p, times.tolist(), max(rel_tol, 100 * math.ulp(1.0)), abs_tol, f_max)
-    states = reconstruct_disentangled(*np.reshape(out, (-1, 3)).T) @ psi0
-    series = TimeSeries(times[: len(out)], states)
+    # rows past a pole may overflow; they are cut off below
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = reconstruct_disentangled(*np.reshape(out, (-1, 3)).T) @ psi0
+        series = TimeSeries(times[: len(out)], states)
     if t_pole is None:
         return series
     k = finite_rows(series)

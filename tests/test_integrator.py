@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -83,6 +84,11 @@ class TestObservableSeries:
         )
         with pytest.raises(ValueError):
             observable_series(ts, pauli("+"))
+
+    def test_rejects_an_observable_of_the_wrong_size(self):
+        ts = TimeSeries(times=np.array([0.0]), states=np.array([[1, 0]], dtype=complex))
+        with pytest.raises(ValueError, match="observable dimension does not match states"):
+            observable_series(ts, np.eye(3))
 
     def test_non_finite_values_name_their_time_apart_from_a_residue(self):
         ts = TimeSeries(
@@ -287,6 +293,24 @@ class TestPropagatePeriodic:
         ts = propagate_periodic(self.h(self.P), 2 * np.pi, psi0, np.array([0.0]), self.TIGHT)
         np.testing.assert_array_equal(ts.states, [psi0])
 
+    @pytest.mark.parametrize("times", [[0.0, 0.5], [0.0]])
+    def test_a_vanishing_hamiltonian_returns_the_initial_state(self, times):
+        # a zero ||H|| sizes the steps without a division: one identity step
+        # per interval, and no warning
+        def h(t):
+            return np.zeros((*np.shape(t), 2, 2))
+
+        psi0 = _superposition(4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ts = propagate_periodic(h, 1.0, psi0, np.array(times), self.TIGHT)
+        np.testing.assert_array_equal(ts.states, [psi0] * len(times))
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, np.nan])
+    def test_rejects_a_period_that_is_not_positive(self, period):
+        with pytest.raises(ValueError, match="period must be positive"):
+            propagate_periodic(self.h(self.P), period, KET0, np.array([0.0, 1.0]), self.TIGHT)
+
     def test_too_many_sample_phases_are_refused_before_any_h(self, monkeypatch):
         # a 2x2 H may take 128 // 4 = 32 steps a period; 40 distinct phases
         # split it into 39 intervals of a step or more, so no H is needed
@@ -474,6 +498,11 @@ def test_timeseries_requires_increasing_times():
             times=np.array([0.0, 0.0]),
             states=np.zeros((2, 2), dtype=complex),
         )
+
+
+def test_timeseries_requires_one_state_per_time():
+    with pytest.raises(ValueError, match="one state per sample required"):
+        TimeSeries(times=np.arange(2.0), states=np.eye(3, dtype=complex))
 
 
 def test_timeseries_derives_row_norms():

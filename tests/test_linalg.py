@@ -173,6 +173,13 @@ class TestExpmSu2:
         with pytest.raises(ValueError):
             expm_su2(0, 1.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle(self, lam):
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            expm_su2(1, lam)
+        with pytest.raises(ValueError, match="lambda must be finite"):
+            expm_via_hadamard(lam)
+
 
 class TestWalshHadamard:
     def test_involution(self):

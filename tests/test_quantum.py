@@ -145,6 +145,11 @@ class TestHamiltonians:
         np.testing.assert_array_equal(hamiltonian_jc(p), jc)
         np.testing.assert_array_equal(hamiltonian_quantum_rabi(p), rabi)
 
+    @pytest.mark.parametrize("slot", [2, -1])
+    def test_atom_projector_refuses_a_slot_outside_the_atom(self, slot):
+        with pytest.raises(ValueError, match="atom slot must be 0 or 1"):
+            atom_projector(slot, 4)
+
 
 class TestFrameTransform:
     def test_identity_at_t0(self):

@@ -25,6 +25,7 @@ from rwasim.runner import (
     load_table,
     run_scenario,
     sweep_scenario,
+    write_comparison,
     write_timeseries,
 )
 
@@ -94,6 +95,10 @@ class TestScenarioParsing:
     def test_unknown_model(self):
         with pytest.raises(ScenarioError, match="model"):
             Scenario.from_dict(base_semiclassical(model="bloch"))
+
+    def test_a_scenario_that_is_not_a_mapping(self):
+        with pytest.raises(ScenarioError, match="scenario must be a mapping"):
+            Scenario.from_dict([base_semiclassical()])
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ScenarioError, match="unknown keys"):
@@ -287,6 +292,14 @@ class TestRoundTrip:
         path.write_text(f"# rwasim-timeseries v1\n# scenario: {echo}\n")
         removed = r"integrator: unknown keys \['method', 'renormalize'\]"
         with pytest.raises(ScenarioError, match=removed):
+            load_metadata(path)
+
+    def test_a_comparison_file_has_no_scenario_to_load(self, tmp_path):
+        # it echoes two scenarios, as scenario-a and scenario-b
+        scenario = Scenario.from_dict(base_semiclassical(t_final=2.0))
+        path = tmp_path / "compare.csv"
+        write_comparison(compare_scenarios(scenario, scenario), path)
+        with pytest.raises(ValueError, match="carries no scenario metadata line"):
             load_metadata(path)
 
     @pytest.mark.parametrize(

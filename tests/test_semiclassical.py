@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rwasim import semiclassical
+from rwasim import quantum, semiclassical
 from rwasim.errors import RiccatiPoleError, StiffnessError
 from rwasim.integrator import (
     IntegratorConfig,
@@ -15,6 +15,7 @@ from rwasim.integrator import (
     sample_grid,
 )
 from rwasim.linalg import expm_series, is_hermitian, is_unitary, pauli
+from rwasim.quantum import JCParams
 from rwasim.semiclassical import (
     DriveParams,
     from_rotating_frame,
@@ -125,6 +126,19 @@ class TestRotatingFrame:
         rows = np.array([from_rotating_frame(phi, t, p) for phi, t in zip(stack, ts)])
         np.testing.assert_array_equal(from_rotating_frame(stack, ts, p), rows)
 
+    @pytest.mark.parametrize("samples", [2, 5])
+    def test_both_directions_take_a_stack_with_one_time_per_row(self, samples):
+        # a (2, 2) stack is square: both directions must read its rows as states
+        rng = np.random.default_rng(samples)
+        p = random_params(rng)
+        ts = rng.uniform(0.0, 20.0, size=samples)
+        stack = rng.normal(size=(samples, 2)) + 1j * rng.normal(size=(samples, 2))
+        for transform in (to_rotating_frame, from_rotating_frame):
+            rows = np.array([transform(psi, t, p) for psi, t in zip(stack, ts)])
+            np.testing.assert_allclose(transform(stack, ts, p), rows, rtol=0, atol=1e-15)
+        back = from_rotating_frame(to_rotating_frame(stack, ts, p), ts, p)
+        np.testing.assert_allclose(back, stack, rtol=0, atol=1e-15)
+
     def test_norm_preserved(self):
         p = DriveParams(delta=1.0, g=0.1, omega=1.2, phi=0.5)
         psi = np.array([0.6, 0.8j])
@@ -217,6 +231,29 @@ class TestDetunedPropagator:
         rabi = generalized_rabi_frequency(p)
         peak = abs((propagator_rwa_detuned(np.pi / (2 * rabi), p) @ KET0)[1]) ** 2
         assert peak == pytest.approx(p.g**2 / rabi**2, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "propagator_rwa_rotating",
+        "propagator_rwa_resonance",
+        "propagator_rwa_detuned",
+        "propagator_jc_detuned",
+        "propagator_jc_resonance",
+        "propagator_jc_lab",
+    ],
+)
+def test_one_time_propagators_refuse_an_array_of_times(name):
+    # resonant parameters, so that only t is refused; 2 * dim times would
+    # broadcast into a matrix of the propagator's shape, U at none of them
+    if "rwa" in name:
+        propagator, p = getattr(semiclassical, name), DriveParams(delta=1.0, g=0.1, omega=1.0)
+    else:
+        propagator, p = getattr(quantum, name), JCParams(big_omega=1.0, omega=1.0, g=0.1, dim=3)
+    t = np.linspace(0.5, 3.0, 2 * p.dim)
+    with pytest.raises(ValueError, match=rf"one time, got an array of shape \({t.size},\)"):
+        propagator(t, p)
 
 
 class TestExactRwaTrajectory:
@@ -690,6 +727,14 @@ class TestStepperAgainstScipy:
         assert partial.times.size > 0
         assert np.isfinite(partial.norms).all()
         assert partial.flags == {"riccati_pole"}
+
+    def test_partial_run_raises_no_overflow_warning(self, scenario):
+        # forming the rows past the first non-finite one overflows; the
+        # suite's filterwarnings = error turns a leaked warning into a failure
+        times = sample_grid(0.0, scenario.t_final, scenario.dt)
+        with pytest.raises(RiccatiPoleError) as excinfo:
+            solve_beyond_rwa(scenario.params, KET0, times, rel_tol=2048.0)
+        assert np.isfinite(excinfo.value.partial.norms).all()
 
 
 class TestDriveParams:
