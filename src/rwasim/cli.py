@@ -55,8 +55,7 @@ def _cmd_run(args):
         with _writing(out):
             write_timeseries(partial, out, extra_meta={"riccati-pole-time": repr(exc.t_pole)})
         print(f"wrote partial trajectory to {out}", file=sys.stderr)
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        raise
     with _writing(out):
         write_timeseries(result, out)
     print(out)

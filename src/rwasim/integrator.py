@@ -292,11 +292,13 @@ def _magnus(h, dim, nodes, rel_tol):
             "raise the sample spacing"
         )
     norm = np.abs(np.linalg.eigvalsh(h(nodes))).max()
-    counts = np.maximum(np.ceil(widths * norm / rel_tol**0.25), 1.0)
-    # negated <= so that an overflowing count (an infinite norm) fails
-    if not counts.sum() <= cap:
+    # an overflowing count or total is infinite, which the negated <= refuses
+    with np.errstate(over="ignore"):
+        counts = np.maximum(np.ceil(widths * norm / rel_tol**0.25), 1.0)
+        total = counts.sum()
+    if not total <= cap:
         raise StiffnessError(
-            f"one period takes {counts.sum():.3g} Magnus steps, over the "
+            f"one period takes {total:.3g} Magnus steps, over the "
             f"{cap} allowed for a {dim}x{dim} H; raise rel_tol"
         )
     counts = counts.astype(int)

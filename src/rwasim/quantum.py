@@ -150,6 +150,7 @@ def photon_number_operator(dim):
 def frame_transform_u(t, p):
     """Block-diagonal unitary diag(e^{it(omega N + omega/2)}, e^{it(omega N - omega/2)});
     removes the bare atom and field rotation at the field frequency."""
+    check_one_time(t)
     return np.diag(_frame_diagonal(t, p))
 
 

@@ -378,25 +378,16 @@ def run_scenario(scenario):
 
 def attach_observables(scenario, series):
     """Wrap a trajectory in a RunResult with the scenario's observable columns."""
-    result = RunResult(scenario=scenario, series=series)
-    for name in scenario.outputs:
-        result.observables[name] = _observable_column(name, series, scenario)
-    return result
-
-
-def _observable_column(name, series, scenario):
     dim = scenario.params.dim
     slot0, slot1 = slots(np.abs(series.states) ** 2, dim).swapaxes(0, 1)
-    if name == "p0":
-        return slot0.sum(axis=1)
-    if name == "p1":
-        return slot1.sum(axis=1)
-    if name == "n_photon":
-        n = np.arange(dim)
-        return slot0 @ n + slot1 @ n
-    if name == "leakage":
-        return top_level_population(series.states, dim)
-    raise ScenarioError(f"unknown observable {name!r}", "outputs")
+    n = np.arange(dim)
+    columns = {"p0": slot0.sum(axis=1), "p1": slot1.sum(axis=1), "n_photon": slot0 @ n + slot1 @ n}
+    if "leakage" in scenario.outputs:
+        columns["leakage"] = top_level_population(series.states, dim)
+    for name in scenario.outputs:
+        if name not in columns:
+            raise ScenarioError(f"unknown observable {name!r}", "outputs")
+    return RunResult(scenario, series, {name: columns[name] for name in scenario.outputs})
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ class TestLadderOps:
         assert ops.a[1, 2] == pytest.approx(np.sqrt(2))
         ops = ladder_ops(9)
         assert np.allclose(np.diag(ops.a, 1), np.sqrt(np.arange(1, 9)))
+        assert ladder_ops(5).dim == 5
 
     def test_vacuum_is_annihilated(self):
         ops = ladder_ops(2)

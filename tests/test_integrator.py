@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import fields
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -306,6 +307,21 @@ class TestPropagatePeriodic:
             ts = propagate_periodic(h, 1.0, psi0, np.array(times), self.TIGHT)
         np.testing.assert_array_equal(ts.states, [psi0] * len(times))
 
+    @pytest.mark.parametrize(
+        "norm, times, rel_tol",
+        [(1e307, [0.0, 0.5], 1e-8), (1e308, [0.0, 0.5, 0.999999], 0.0625)],
+        ids=["count", "total"],
+    )
+    def test_an_overflowing_step_count_is_refused_without_a_warning(self, norm, times, rel_tol):
+        # width * ||H|| / rel_tol**0.25 overflows in one interval, or only
+        # the sum over intervals does; either way the count is infinite
+        def h(t):
+            return np.multiply.outer(np.ones(np.shape(t)), np.diag([norm, -norm]))
+
+        cfg = IntegratorConfig(rel_tol=rel_tol)
+        with pytest.raises(StiffnessError, match="takes inf Magnus steps.*raise rel_tol"):
+            propagate_periodic(h, 1.0, KET0, np.array(times), cfg)
+
     @pytest.mark.parametrize("period", [0.0, -1.0, np.nan])
     def test_rejects_a_period_that_is_not_positive(self, period):
         with pytest.raises(ValueError, match="period must be positive"):
@@ -412,6 +428,17 @@ class TestValidation:
                 sample_grid(0.0, 1.0, 0.1),
                 IntegratorConfig(),
             )
+
+    def test_an_adaptive_run_that_gives_up_is_a_stiffness_error(self, monkeypatch):
+        # a solve_ivp double that stops short, as RK45 does when its step underflows
+        import scipy.integrate
+
+        def give_up(*args, **kwargs):
+            return SimpleNamespace(status=-1, message="Required step size is too small.")
+
+        monkeypatch.setattr(scipy.integrate, "solve_ivp", give_up)
+        with pytest.raises(StiffnessError, match="adaptive integration failed: Required step"):
+            integrate(lambda t: pauli(3).astype(complex), KET0, 0.0, 1.0, IntegratorConfig())
 
     def test_rejects_unnormalized_initial_state(self):
         cfg = IntegratorConfig(dt=0.1)

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +234,12 @@ class TestRunPathways:
         assert np.abs(
             result.observables["n_photon"] - np.sin(0.1 * result.series.times) ** 2
         ).max() < 1e-6
+
+    def test_an_unknown_observable_of_a_hand_built_scenario_names_outputs(self):
+        # from_dict refuses the name first; only a Scenario built by hand gets here
+        scenario = replace(Scenario.from_dict(base_quantum(t_final=1.0)), outputs=("p0", "bogus"))
+        with pytest.raises(ScenarioError, match="^outputs: unknown observable 'bogus'$"):
+            run_scenario(scenario)
 
     @pytest.mark.parametrize(
         "spec",
@@ -604,7 +610,7 @@ class TestCli:
             == cli.EXIT_TRUNCATION
         )
 
-    def test_riccati_pole_exit_code_and_partial_file(self, tmp_path, monkeypatch):
+    def test_riccati_pole_exit_code_and_partial_file(self, tmp_path, monkeypatch, capsys):
         partial = TimeSeries(
             times=np.array([0.0, 0.1]),
             states=np.array([[1, 0], [1, 0]], dtype=complex),
@@ -619,6 +625,11 @@ class TestCli:
             tmp_path, base_semiclassical(model="semiclassical-riccati", t_final=5.0)
         )
         assert cli.main(["run", str(path), "--out", str(tmp_path)]) == cli.EXIT_SOLVER
+        # the partial file is named first, then the one solver error line
+        assert capsys.readouterr().err.splitlines() == [
+            f"wrote partial trajectory to {tmp_path / 'scenario.csv'}",
+            f"solver error: {RiccatiPoleError(0.2)}",
+        ]
         text = (tmp_path / "scenario.csv").read_text()
         assert "riccati_pole" in text
         assert "riccati-pole-time" in text

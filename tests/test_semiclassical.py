@@ -242,6 +242,7 @@ class TestDetunedPropagator:
         "propagator_jc_detuned",
         "propagator_jc_resonance",
         "propagator_jc_lab",
+        "frame_transform_u",
     ],
 )
 def test_one_time_propagators_refuse_an_array_of_times(name):
