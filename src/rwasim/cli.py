@@ -66,10 +66,10 @@ def _cmd_run(args):
 
 
 def _cmd_compare(args):
-    report = compare_scenarios(
-        load_scenario_file(args.scenario_a), load_scenario_file(args.scenario_b)
-    )
+    scenario_a = load_scenario_file(args.scenario_a)
+    scenario_b = load_scenario_file(args.scenario_b)
     out = _out_dir(args) / f"{Path(args.scenario_a).stem}__vs__{Path(args.scenario_b).stem}.csv"
+    report = compare_scenarios(scenario_a, scenario_b)
     with _writing(out):
         write_comparison(report, out)
     print(out)
@@ -82,8 +82,8 @@ def _cmd_sweep(args):
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError:
         raise ScenarioError(f"--values must be a comma-separated number list, got {args.values!r}")
-    rows = sweep_scenario(scenario, args.param, values)
     out = _out_dir(args) / f"{Path(args.scenario).stem}__sweep__{args.param}.csv"
+    rows = sweep_scenario(scenario, args.param, values)
     with _writing(out):
         write_sweep(rows, out, scenario)
     print(out)

@@ -33,6 +33,14 @@ def _check_dim(dim):
     return int(dim)
 
 
+def _check_index(n, what):
+    # after the range check: numpy reads a bool index as a mask and refuses a
+    # float one, so a bool is refused and an integral float becomes its int
+    if isinstance(n, (bool, np.bool_)) or int(n) != n:
+        raise ValueError(f"{what} must be an integer and not a bool, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class LadderSet:
     """Annihilation, creation and number operators on a D-level truncation."""
@@ -64,10 +72,12 @@ def ladder_ops(dim, phase=0.0):
 
 
 def number_state(n, dim):
-    """Unit vector for the number state |n> on a `dim`-level truncation."""
+    """Unit vector for the number state |n> on a `dim`-level truncation. An
+    integral float n is read as its int, and a bool is a ValueError."""
     dim = _check_dim(dim)
     if not 0 <= n < dim:
         raise ValueError(f"number state index {n} outside truncation of dimension {dim}")
+    n = _check_index(n, "number state index")
     state = np.zeros(dim, dtype=complex)
     state[n] = 1.0
     return state

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelError, StiffnessError
-from .linalg import normalize
+from .linalg import is_hermitian, normalize
 
 __all__ = [
     "IntegratorConfig",
@@ -373,7 +373,7 @@ def observable_series(ts, obs):
     residue below 1e-10, which is then discarded.
     """
     obs = np.asarray(obs, dtype=complex)
-    if not np.abs(obs - obs.conj().T).max() <= _HERMITIAN_TOL:
+    if not is_hermitian(obs, _HERMITIAN_TOL):
         raise ValueError("observable must be Hermitian")
     if obs.shape[0] != ts.states.shape[1]:
         raise ValueError("observable dimension does not match states")
@@ -388,12 +388,14 @@ def observable_series(ts, obs):
 
 
 def fidelity(a, b):
-    """Global-phase-invariant overlap |<a|b>|^2, clipped to [0, 1]."""
+    """Global-phase-invariant overlap |<a|b>|^2, clipped to [0, 1]. Two (..., N)
+    stacks of states give one value per row instead of a float."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     for name, v in (("a", a), ("b", b)):
-        if not abs(np.linalg.norm(v) - 1.0) <= 1e-6:  # negated, so that NaN fails
+        if not np.all(abs(np.linalg.norm(v, axis=-1) - 1.0) <= 1e-6):  # negated, so that NaN fails
             raise ValueError(f"state {name} is not normalized")
-    return float(min(abs(np.vdot(a, b)) ** 2, 1.0))
+    fids = np.minimum(np.abs(np.sum(a.conj() * b, axis=-1)) ** 2, 1.0)
+    return float(fids) if a.ndim == 1 else fids

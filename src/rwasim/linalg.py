@@ -147,6 +147,14 @@ def bch_conjugate(x, a, depth):
     return result
 
 
+def cos_sinc(r, t):
+    """cos(r t) and sin(r t)/r, the latter continued by its limit t at r = 0, for
+    r and t that broadcast together; an overflowed phase gives NaN, not an error."""
+    x = r * t
+    safe = np.where(r == 0, 1.0, r)
+    return np.cos(x), np.where(r == 0, t, np.sin(x) / safe)
+
+
 def is_hermitian(m, tol=1e-12):
     """Entrywise check of M = M^dagger within `tol`."""
     m = np.asarray(m)

@@ -30,9 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import LEAKAGE_THRESHOLD, _check_dim, ladder_ops, slots, top_level_population
+from .fock import (
+    LEAKAGE_THRESHOLD,
+    _check_dim,
+    _check_index,
+    ladder_ops,
+    slots,
+    top_level_population,
+)
 from .integrator import TimeSeries, check_one_time, checked_start
-from .linalg import RESONANCE_TOL, pauli, tensor_product
+from .linalg import RESONANCE_TOL, cos_sinc, pauli, tensor_product
 
 __all__ = [
     "JCParams",
@@ -134,9 +141,11 @@ def excitation_operator(dim):
 
 
 def atom_projector(slot, dim):
-    """Projector onto atom slot 0 or 1, identity on the field factor."""
+    """Projector onto atom slot 0 or 1, identity on the field factor. An
+    integral float is read as its int, and a bool is a ValueError."""
     if slot not in (0, 1):
         raise ValueError("atom slot must be 0 or 1")
+    slot = _check_index(slot, "atom slot")
     proj = np.zeros((2, 2), dtype=complex)
     proj[slot, slot] = 1.0
     return tensor_product(proj, np.eye(dim, dtype=complex))
@@ -171,38 +180,26 @@ def jc_rotating_generator(p):
     )
 
 
-def _jc_block_diagonals(t, p):
-    """Diagonals (d, s) of the rotating-frame propagator e^{-itB}, which
-    _jc_rotating applies: s = (s_up, s_dn) = sin(t r)/r weighs its
-    off-diagonal blocks -i g diag(s_up) a and -i g diag(s_dn) a_dag, and its
-    diagonal is d = (d_00, d_11) = cos(t r) -+ i (delta/2) s. A column of
-    times gives one row of each per time. Squares are products: an
-    overflowing delta or g gives NaN, where a float power would raise."""
+def _jc_rotating(t, p, psi):
+    # e^{-itB} psi along the last axis of psi, one row per time for a column of
+    # times. With s = (s_up, s_dn) = sin(t r)/r, the propagator's off-diagonal
+    # blocks are -i g diag(s_up) a and -i g diag(s_dn) a_dag, and its diagonal
+    # is d = (d_00, d_11) = cos(t r) -+ i (delta/2) s. The ladder operators
+    # cross the slots: (a x)_n = sqrt(n+1) x_{n+1} fills slot 0 from slot 1,
+    # (a_dag x)_n = sqrt(n) x_{n-1} slot 1 from slot 0, and zeros fill in past
+    # the truncation. Squares are products: an overflowing delta or g gives
+    # NaN, where a float power would raise
     delta = p.detuning
     root = np.sqrt(np.arange(1, p.dim, dtype=float))
     # a a_dag: sqrt(n)**2 (as a @ a_dag holds it), 0; then a_dag a: 0 .. dim-1
     number = np.concatenate([root * root, [0.0], np.arange(p.dim, dtype=float)])
     r = np.sqrt(0.25 * (delta * delta) + (p.g * p.g) * number)
-    # sin(t r) / r, continued by its limit t at r = 0
-    safe = np.where(r == 0, 1.0, r)
-    s = np.where(r == 0, t, np.sin(t * r) / safe)
-    # d_00 takes -i (delta/2) s, d_11 takes +i (delta/2) s
+    cos, s = cos_sinc(r, t)
     sign = np.repeat([-1.0, 1.0], p.dim)
-    d = np.cos(t * r) + sign * (0.5j * delta * s)
-    return d, s
-
-
-def _jc_rotating(t, p, psi):
-    # e^{-itB} psi along the last axis of psi. The ladder operators cross the
-    # slots: (a x)_n = sqrt(n+1) x_{n+1} fills slot 0 from slot 1,
-    # (a_dag x)_n = sqrt(n) x_{n-1} slot 1 from slot 0, and zeros fill in past
-    # the truncation
-    d, s = _jc_block_diagonals(t, p)
-    root = np.sqrt(np.arange(1, p.dim, dtype=float))
     shifted = np.zeros_like(psi)
     slots(shifted, p.dim)[..., 0, :-1] = root * slots(psi, p.dim)[..., 1, 1:]
     slots(shifted, p.dim)[..., 1, 1:] = root * slots(psi, p.dim)[..., 0, :-1]
-    return d * psi - 1j * p.g * s * shifted
+    return (cos + sign * (0.5j * delta * s)) * psi - 1j * p.g * s * shifted
 
 
 def propagator_jc_detuned(t, p):

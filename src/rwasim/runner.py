@@ -25,6 +25,7 @@ from .integrator import (
     MAX_STATE_ENTRIES,
     IntegratorConfig,
     TimeSeries,
+    fidelity,
     finite_rows,
     propagate_periodic,
     sample_grid,
@@ -432,10 +433,7 @@ def compare_results(a, b):
     flags = set(a.flags) | set(b.flags)
     states_a, states_b = a.series.states, b.series.states
 
-    # integrator.fidelity of each pair of normalized rows, in one pass
-    unit_a = states_a / a.series.norms[:, None]
-    unit_b = states_b / b.series.norms[:, None]
-    fids = np.minimum(np.abs(np.sum(unit_a.conj() * unit_b, axis=1)) ** 2, 1.0)
+    fids = fidelity(states_a / a.series.norms[:, None], states_b / b.series.norms[:, None])
     pops_a = np.abs(states_a) ** 2
     pops_b = np.abs(states_b) ** 2
     pop_devs = np.abs(pops_a - pops_b).max(axis=1)

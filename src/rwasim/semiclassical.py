@@ -29,7 +29,7 @@ from .integrator import (
     checked_start,
     finite_rows,
 )
-from .linalg import RESONANCE_TOL
+from .linalg import RESONANCE_TOL, cos_sinc
 
 __all__ = [
     "DriveParams",
@@ -144,11 +144,9 @@ def generalized_rabi_frequency(p):
 
 def _rwa_rotating(t, p, phi):
     # exp(-i t M) phi along the last axis of phi, one row per time for a column
-    # of times; numpy's sin/cos give NaN for an overflowed phase, math's raise
-    rabi = generalized_rabi_frequency(p)
-    x = rabi * t
-    sinc = t if rabi == 0 else np.sin(x) / rabi
-    return np.cos(x) * phi - 1j * sinc * (phi @ rotating_frame_generator(p).T)
+    # of times
+    cos, sinc = cos_sinc(generalized_rabi_frequency(p), t)
+    return cos * phi - 1j * sinc * (phi @ rotating_frame_generator(p).T)
 
 
 def propagator_rwa_rotating(t, p):

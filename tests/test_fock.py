@@ -86,9 +86,14 @@ class TestNumberState:
         vec = vec / np.linalg.norm(vec)
         assert np.allclose(vec, number_state(4, 6))
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            number_state(4, 4)
+    @pytest.mark.parametrize("n", [4, True, False, 2.5])
+    def test_out_of_range(self, n):
+        # numpy read a bool as a mask: True gave [1, 1, 1], False a zero vector
+        with pytest.raises(ValueError, match="number state index"):
+            number_state(n, 4)
+
+    def test_integral_float_index(self):
+        assert np.array_equal(number_state(2.0, 4), number_state(2, 4))
 
 
 class TestCommutationDefect:

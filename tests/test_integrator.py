@@ -117,9 +117,14 @@ class TestFidelity:
     def test_orthogonal(self):
         assert fidelity(np.array([1, 0]), np.array([0, 1])) == 0.0
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            fidelity(np.array([1, 0]), np.array([1, 0, 0]))
+    @pytest.mark.parametrize(
+        "a, b",
+        [([1, 0], [1, 0, 0]), (np.tile([1.0, 0.0], (4, 1)), np.tile([1.0, 0.0], (3, 1)))],
+        ids=["states", "stacks"],
+    )
+    def test_dimension_mismatch(self, a, b):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            fidelity(np.asarray(a), np.asarray(b))
 
     def test_requires_normalization(self):
         with pytest.raises(ValueError):
@@ -128,6 +133,23 @@ class TestFidelity:
     def test_rejects_a_nan_state(self):
         with pytest.raises(ValueError, match="state a is not normalized"):
             fidelity(np.array([np.nan, 0]), np.array([1.0, 0]))
+
+    def test_stacks_give_one_value_per_row(self):
+        rng = np.random.default_rng(5)
+        a, b = (rng.normal(size=(20, 6)) + 1j * rng.normal(size=(20, 6)) for _ in range(2))
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        b /= np.linalg.norm(b, axis=1, keepdims=True)
+        stacked = fidelity(a, b)
+        assert stacked.shape == (20,)
+        assert np.abs(stacked - [fidelity(ra, rb) for ra, rb in zip(a, b)]).max() <= 1e-15
+
+    @pytest.mark.parametrize("name", ["a", "b"])
+    def test_stack_with_one_row_not_normalized(self, name):
+        states = {"a": np.tile([1.0, 0.0], (4, 1)), "b": np.tile([0.6, 0.8], (4, 1))}
+        np.testing.assert_array_equal(fidelity(states["a"], states["b"]), np.full(4, 0.36))
+        states[name][2] *= 1.01
+        with pytest.raises(ValueError, match=f"state {name} is not normalized"):
+            fidelity(states["a"], states["b"])
 
 
 class TestRk4Fixed:

@@ -4,6 +4,7 @@ import pytest
 from rwasim.linalg import (
     bch_conjugate,
     commutator,
+    cos_sinc,
     expm_series,
     expm_su2,
     expm_via_hadamard,
@@ -229,6 +230,26 @@ class TestBchConjugate:
             bch_conjugate(np.eye(2), np.eye(3), 2)
         with pytest.raises(ValueError):
             bch_conjugate(np.eye(2), np.eye(2), 0)
+
+
+class TestCosSinc:
+    def test_zero_frequency_is_the_limit(self):
+        assert cos_sinc(0.0, 2.5) == (1.0, 2.5)
+        times = np.linspace(0.0, 3.0, 7)[:, None]
+        cos, sinc = cos_sinc(0.0, times)
+        assert np.array_equal(cos, np.ones_like(times))
+        assert np.array_equal(sinc, times)
+
+    def test_a_zero_frequency_gives_t_in_its_column_only(self):
+        r = np.array([0.5, 0.0, 2.0])
+        times = np.array([[0.3], [1.7]])
+        cos, sinc = cos_sinc(r, times)
+        assert cos.shape == sinc.shape == (2, 3)
+        np.testing.assert_array_equal(sinc[:, 1], times[:, 0])
+        np.testing.assert_array_equal(cos[:, 1], [1.0, 1.0])
+        for j in (0, 2):
+            np.testing.assert_array_equal(sinc[:, j], np.sin(r[j] * times[:, 0]) / r[j])
+            np.testing.assert_array_equal(cos[:, j], np.cos(r[j] * times[:, 0]))
 
 
 class TestFlagChecks:

@@ -150,6 +150,15 @@ class TestHamiltonians:
         with pytest.raises(ValueError, match="atom slot must be 0 or 1"):
             atom_projector(slot, 4)
 
+    @pytest.mark.parametrize("slot", [True, False])
+    def test_atom_projector_refuses_a_bool_slot(self, slot):
+        # numpy read a bool as a mask, so True gave a matrix that is no projector
+        with pytest.raises(ValueError, match="atom slot must be an integer and not a bool"):
+            atom_projector(slot, 2)
+
+    def test_atom_projector_reads_an_integral_float_slot(self):
+        np.testing.assert_array_equal(atom_projector(1.0, 3), atom_projector(1, 3))
+
 
 class TestFrameTransform:
     def test_identity_at_t0(self):

@@ -997,6 +997,25 @@ class TestCli:
         assert "Traceback" not in proc.stderr
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["compare", "sweep"])
+    def test_output_directory_is_made_before_the_first_solve(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        path = self.write_scenario(tmp_path, base_semiclassical(t_final=2.0))
+        argv = {
+            "compare": ["compare", str(path), str(path)],
+            "sweep": ["sweep", str(path), "--param", "g", "--values", "0.2,0.1"],
+        }[command]
+
+        def solve(scenario):
+            raise AssertionError("solved before the output directory was made")
+
+        monkeypatch.setattr(runner, "run_scenario", solve)
+        assert cli.main([*argv, "--out", str(blocker)]) == cli.EXIT_CONFIG
+        assert f"config error: cannot write {blocker}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
     def test_unwritable_output_file_is_config_error(self, tmp_path, capsys, command):
         path = self.write_scenario(tmp_path, base_semiclassical(t_final=2.0))
